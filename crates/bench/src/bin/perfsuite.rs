@@ -27,11 +27,9 @@
 //! benchmarks are unaffected by it.
 //!
 //! The `sweep/` section times an end-to-end ablation grid through the
-//! split-phase evaluation tiers: `sweep/grid_cold` (sub-evaluation LRU
-//! disabled — every point pays its own reference), `sweep/grid_shared`
-//! (LRU on — the grid shares one reference) and `sweep/grid_memo_warm`
-//! (persistent result cache replay). The printed cold/shared ratio is the
-//! headline reference-sharing win.
+//! split-phase evaluation tiers: `sweep/grid_shared` (the grid shares one
+//! reference through the sub-evaluation LRU) and `sweep/grid_memo_warm`
+//! (persistent result cache replay).
 //!
 //! `--filter SUBSTR` runs only the benchmarks whose name contains SUBSTR —
 //! the skipped ones are neither timed nor recorded, so a filtered file is
@@ -161,14 +159,7 @@ fn bench_cyclesim(
     if any_sim {
         // Warm the trace cache so the `_skip`/`_tick` medians below price
         // consumption only; `_compile` prices the compile side separately.
-        // The modes are explicit so the suite measures the same thing
-        // regardless of any MESH_CYCLESIM_TRACE setting in the caller's
-        // environment.
-        let warmup = SimOptions {
-            trace: TraceMode::Compiled,
-            ..SimOptions::default()
-        };
-        simulate_with_options(workload, machine, warmup).expect("cyclesim warmup");
+        simulate_with_options(workload, machine, SimOptions::default()).expect("cyclesim warmup");
     }
     for (suffix, reference_ticker, trace) in variants {
         let full = format!("{name}_{suffix}");
@@ -213,10 +204,7 @@ fn bench_obs(suite: &mut Suite, workload: &Workload, machine: &MachineConfig, sa
     if !wants_overhead && !wants_wire && !wants_merge {
         return;
     }
-    let options = SimOptions {
-        trace: TraceMode::Compiled,
-        ..SimOptions::default()
-    };
+    let options = SimOptions::default();
     simulate_with_options(workload, machine, options).expect("obs warmup");
     let was_enabled = mesh_obs::enabled();
     if wants_overhead {
@@ -410,7 +398,7 @@ fn bench_store(suite: &mut Suite, samples: usize) {
     }
 
     // Back to whatever the environment configured, then drop the tempdirs.
-    match std::env::var_os(mesh_cyclesim::store::STORE_ENV) {
+    match std::env::var_os(mesh_cyclesim::trace::STORE_ENV) {
         Some(dir) if !dir.is_empty() => {
             mesh_cyclesim::set_store(Some(std::path::Path::new(&dir)), None)
         }
@@ -431,21 +419,17 @@ fn bench_store(suite: &mut Suite, samples: usize) {
 /// (a min-timeslice sweep over one FFT scenario, the `ablation_minslice`
 /// shape at smoke size):
 ///
-/// * `sweep/grid_cold` — sub-evaluation LRU disabled: every grid point pays
-///   its own cycle-accurate reference (the pre-split-phase behaviour);
 /// * `sweep/grid_shared` — LRU on, cleared per sample: the whole grid
 ///   shares one reference through the in-process tier;
 /// * `sweep/grid_memo_warm` — persistent result cache populated, LRU
 ///   cleared per sample: every point replays from disk.
 ///
-/// Prints the cold/shared ratio — the headline split-phase win (the ≥ 2x
-/// figure tracked in docs/PERFORMANCE.md). Runs alongside `store/` at the
-/// end of the suite and restores the environment-driven configuration.
+/// Runs alongside `store/` at the end of the suite and restores the
+/// environment-driven configuration.
 fn bench_sweep(suite: &mut Suite, samples: usize) {
-    let wants_cold = suite.wants("sweep/grid_cold");
     let wants_shared = suite.wants("sweep/grid_shared");
     let wants_memo = suite.wants("sweep/grid_memo_warm");
-    if !wants_cold && !wants_shared && !wants_memo {
+    if !wants_shared && !wants_memo {
         return;
     }
     let memo_dir =
@@ -470,34 +454,14 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
         }
     };
 
-    let cap_before = mesh_bench::memo::subeval_lru_capacity();
     mesh_bench::memo::set_result_cache(None);
-    let mut cold = None;
-    if wants_cold {
-        mesh_bench::memo::set_subeval_lru_capacity(0);
-        let median = time_median_batched_ns(samples, mesh_bench::memo::clear_subeval_lru, |()| {
-            run_grid()
-        });
-        suite.record("sweep/grid_cold", median);
-        cold = Some(median);
-    }
-    let mut shared = None;
     if wants_shared {
-        mesh_bench::memo::set_subeval_lru_capacity(cap_before.max(1));
         let median = time_median_batched_ns(samples, mesh_bench::memo::clear_subeval_lru, |()| {
             run_grid()
         });
         suite.record("sweep/grid_shared", median);
-        shared = Some(median);
-    }
-    if let (Some(cold), Some(shared)) = (cold, shared) {
-        println!(
-            "split-phase reference sharing (cold/shared): {:.2}x",
-            cold / shared
-        );
     }
     if wants_memo {
-        mesh_bench::memo::set_subeval_lru_capacity(cap_before.max(1));
         mesh_bench::memo::set_result_cache(Some(&memo_dir));
         run_grid(); // populate the persistent tier once
         let median = time_median_batched_ns(samples, mesh_bench::memo::clear_subeval_lru, |()| {
@@ -507,7 +471,6 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
     }
 
     // Back to whatever the environment configured, then drop the tempdir.
-    mesh_bench::memo::set_subeval_lru_capacity(cap_before);
     mesh_bench::memo::clear_subeval_lru();
     match std::env::var_os(mesh_bench::memo::RESULT_CACHE_ENV) {
         Some(dir) if !dir.is_empty() => {
@@ -528,7 +491,6 @@ fn main() {
     // records: it is what every *other* benchmark ran under.
     let env_trace_store = mesh_cyclesim::store_enabled();
     let env_result_cache = mesh_bench::memo::enabled();
-    let env_subeval_lru = mesh_bench::memo::subeval_lru_capacity() > 0;
     let mut suite = Suite {
         filter: args.filter.clone(),
         records: Vec::new(),
@@ -625,12 +587,6 @@ fn main() {
         shards: mesh_bench::fabric::shards_from_env().unwrap_or(0),
         trace_store: usize::from(env_trace_store),
         result_cache: usize::from(env_result_cache),
-        planner: if mesh_bench::eval::planner_enabled() {
-            1
-        } else {
-            2
-        },
-        subeval_lru: if env_subeval_lru { 1 } else { 2 },
         benchmarks: suite.records,
     };
 

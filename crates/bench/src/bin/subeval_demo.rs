@@ -5,7 +5,7 @@
 //! ([`mesh_bench::eval::sweep_with_references`] feeding
 //! [`mesh_bench::compare`]), printing a table with wall-clock columns. The
 //! `cache_identity` integration test spawns this binary under every cache /
-//! planner / sharding configuration and asserts the stdout bytes never
+//! sharding configuration and asserts the stdout bytes never
 //! change: cached legs replay their *recorded* wall clocks, so even the
 //! timing columns are reproduced exactly.
 

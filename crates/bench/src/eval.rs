@@ -21,72 +21,30 @@
 //!    in the sub-evaluation LRU (or the persistent result cache) and pays
 //!    only the cheap hybrid/analytical legs.
 //!
-//! Under the multi-process fabric (`MESH_BENCH_SHARDS`), the planner
-//! additionally registers **co-location hints**: points sharing a reference
-//! are assigned to the same shard in the plan file, so n workers never
-//! recompute one reference n-ways. With the persistent result cache on, the
-//! reference phase still runs in the parent and workers replay from disk;
-//! without it, the phase is skipped (a parent-computed reference could not
-//! reach the workers) and co-location alone provides once-per-group
-//! evaluation inside each worker's own LRU.
+//! Under the multi-process fabric (`MESH_BENCH_SHARDS`), the reference
+//! phase runs in the parent only when the persistent result cache is on, so
+//! workers replay the references from disk. Without it a parent-computed
+//! reference could not reach the workers, so the phase is skipped and each
+//! worker computes a group's reference once in its own LRU.
 //!
-//! `MESH_BENCH_PLANNER=off` (or `0`) disables the planner; the sweep then
-//! behaves exactly like [`crate::sweep::try_sweep_labeled_prewarmed`].
-//! Output is byte-identical either way — the planner changes only *when*
-//! sub-evaluations run, never what they produce.
+//! Output is byte-identical to [`crate::sweep::try_sweep_labeled_prewarmed`]
+//! — the planner changes only *when* sub-evaluations run, never what they
+//! produce.
 
-use crate::checkpoint::{stable_key_hash, Checkpointable};
+use crate::checkpoint::Checkpointable;
 use crate::sweep::{SweepEngine, SweepError};
 use crate::{fabric, memo};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hash;
 
-/// Environment variable disabling the split-phase planner: `off` or `0`
-/// routes [`sweep_with_references`] straight to the ordinary sweep entry
-/// points. Any other value (or unset) keeps the planner on.
-pub const PLANNER_ENV: &str = "MESH_BENCH_PLANNER";
-
-/// Whether the split-phase planner is active (default: yes; see
-/// [`PLANNER_ENV`]).
-pub fn planner_enabled() -> bool {
-    !matches!(
-        std::env::var(PLANNER_ENV).as_deref().map(str::trim),
-        Ok("off") | Ok("0")
-    )
-}
-
-/// Groups `points` by reference key: returns (group index per point, number
-/// of groups, representative point index per group). Groups are numbered in
-/// first-occurrence order, so the assignment is deterministic.
-fn group_by_reference<K>(
-    points: &[K],
-    reference_key: impl Fn(&K) -> u128,
-) -> (Vec<u64>, Vec<usize>) {
-    let mut group_of_fp: HashMap<u128, u64> = HashMap::new();
-    let mut representatives: Vec<usize> = Vec::new();
-    let groups = points
-        .iter()
-        .enumerate()
-        .map(|(index, key)| {
-            let fp = reference_key(key);
-            *group_of_fp.entry(fp).or_insert_with(|| {
-                representatives.push(index);
-                representatives.len() as u64 - 1
-            })
-        })
-        .collect();
-    (groups, representatives)
-}
-
-/// Clears the fabric's co-location hints when the sweep finishes (or
-/// unwinds), so a later un-planned sweep is not steered by stale hints.
-struct HintsGuard;
-
-impl Drop for HintsGuard {
-    fn drop(&mut self) {
-        fabric::clear_plan_hints();
-    }
+/// The index of the first point of each distinct reference key, in
+/// first-occurrence order, so the choice is deterministic.
+fn representatives<K>(points: &[K], reference_key: impl Fn(&K) -> u128) -> Vec<usize> {
+    let mut seen: HashSet<u128> = HashSet::new();
+    (0..points.len())
+        .filter(|&index| seen.insert(reference_key(&points[index])))
+        .collect()
 }
 
 /// Split-phase sweep: dispatches the distinct shared references of a grid
@@ -125,17 +83,17 @@ where
     G: Fn(&K) -> u128,
 {
     // Workers get their assignment from the plan file; the parent already
-    // planned for them. Disabled planner: plain dispatch.
-    if fabric::worker_config().is_some() || !planner_enabled() {
+    // ran the reference phase for them.
+    if fabric::worker_config().is_some() {
         return crate::sweep::try_sweep_labeled_prewarmed(label, points, prewarm, eval);
     }
 
-    let (groups, representatives) = group_by_reference(points, reference_key);
+    let representatives = representatives(points, reference_key);
     let fabric_active = fabric::shards_from_env().is_some();
 
     // Reference phase. Under the fabric without a persistent result cache,
     // a parent-side reference cannot reach the worker processes — skip the
-    // phase and let co-location dedupe inside each worker instead.
+    // phase and let each worker's LRU dedupe instead.
     if representatives.len() < points.len() && (!fabric_active || memo::enabled()) {
         let reps: Vec<K> = representatives.iter().map(|&i| points[i].clone()).collect();
         let refs_label = format!("{label}:refs");
@@ -149,18 +107,6 @@ where
         }
     }
 
-    // Evaluation phase, with co-location hints registered so a sharded run
-    // keeps each reference group on one worker.
-    let _guard = HintsGuard;
-    if fabric_active {
-        fabric::set_plan_hints(
-            points
-                .iter()
-                .zip(&groups)
-                .map(|(key, &group)| (stable_key_hash(key), group))
-                .collect(),
-        );
-    }
     crate::sweep::try_sweep_labeled_prewarmed(label, points, prewarm, eval)
 }
 
@@ -170,10 +116,9 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn grouping_is_deterministic_and_first_occurrence_ordered() {
+    fn representatives_are_first_occurrences() {
         let points = vec![(0u64, 0u64), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)];
-        let (groups, reps) = group_by_reference(&points, |&(machine, _)| machine as u128);
-        assert_eq!(groups, vec![0, 0, 1, 0, 1, 2]);
+        let reps = representatives(&points, |&(machine, _)| machine as u128);
         assert_eq!(reps, vec![0, 2, 5], "first point of each group");
     }
 

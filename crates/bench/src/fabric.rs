@@ -104,7 +104,6 @@ use std::io::{IsTerminal as _, Read as _, Seek as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Environment variable selecting the worker-process count (the fabric's
@@ -479,43 +478,6 @@ fn read_plan(path: &Path, shard: usize) -> std::io::Result<Vec<u64>> {
 /// directories of successive sharded sweeps (including repeated labels).
 static SWEEP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-global co-location hints for the next sharded sweep: stable
-/// point-key hash → reference-group index. Points sharing a group land on
-/// one shard, so a sub-evaluation they share (an ISS reference) is computed
-/// once per *sweep* rather than once per *shard*. Registered by the
-/// [`crate::eval`] planner just before dispatch and cleared when it's done;
-/// unhinted points keep the round-robin assignment.
-fn plan_hints() -> &'static Mutex<HashMap<u64, u64>> {
-    static CELL: OnceLock<Mutex<HashMap<u64, u64>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Replaces the co-location hints consulted by the next [`run_sharded`].
-pub(crate) fn set_plan_hints(hints: HashMap<u64, u64>) {
-    *plan_hints().lock().expect("plan hints poisoned") = hints;
-}
-
-/// Clears the co-location hints (restores pure round-robin assignment).
-pub(crate) fn clear_plan_hints() {
-    plan_hints().lock().expect("plan hints poisoned").clear();
-}
-
-/// The shard each `todo` entry is assigned to: the co-location hint's group
-/// (modulo the shard count) when one is registered, round-robin otherwise.
-/// Both the plan file and the supervision state are derived from this one
-/// vector, so parent and workers always agree.
-fn shard_assignment(hashes: &[u64], shards: usize) -> Vec<usize> {
-    let hints = plan_hints().lock().expect("plan hints poisoned");
-    hashes
-        .iter()
-        .enumerate()
-        .map(|(j, hash)| match hints.get(hash) {
-            Some(&group) => (group % shards as u64) as usize,
-            None => j % shards,
-        })
-        .collect()
-}
-
 /// One supervised worker shard: its assignment, its child process and the
 /// incremental state of tailing its checkpoint.
 struct Shard {
@@ -642,7 +604,7 @@ where
 
     // ---- Parent-side trace-store pre-warm -----------------------------
     // Only the unresolved points, only with the store on: each distinct
-    // workload is compiled (or claimed) once here, and every worker then
+    // workload is compiled once here, and every worker then
     // loads the shared traces instead of compiling its own copies.
     if let Some(prewarm) = prewarm {
         if mesh_cyclesim::store_enabled() {
@@ -658,17 +620,13 @@ where
     let session: &Checkpoint;
     let session_path: PathBuf;
     let plan_path = sweep_dir.join("plan.txt");
-    let assignment = shard_assignment(
-        &todo.iter().map(|&(_, _, hash)| hash).collect::<Vec<u64>>(),
-        shards,
-    );
     {
         let prepared: std::io::Result<()> = (|| {
             std::fs::create_dir_all(&sweep_dir)?;
             let plan: String = todo
                 .iter()
                 .enumerate()
-                .map(|(j, &(_, _, hash))| format!("{} {hash:016x}\n", assignment[j]))
+                .map(|(j, &(_, _, hash))| format!("{} {hash:016x}\n", j % shards))
                 .collect();
             std::fs::write(&plan_path, plan)
         })();
@@ -713,7 +671,7 @@ where
             planned: todo
                 .iter()
                 .enumerate()
-                .filter(|&(j, _)| assignment[j] == i)
+                .filter(|&(j, _)| j % shards == i)
                 .map(|(j, &(_, _, hash))| (j, hash))
                 .collect(),
             out_path: sweep_dir.join(format!("shard-{i}.ckpt")),

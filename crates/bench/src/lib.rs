@@ -127,8 +127,8 @@ pub fn obs_finish() {
             let s = mesh_cyclesim::store_stats();
             eprintln!(
                 "mesh-bench trace-store: {} hits, {} misses, {} publishes, {} quarantined, \
-                 {} gc-removed, {} claim-waits",
-                s.hits, s.misses, s.publishes, s.quarantined, s.gc_removed, s.claim_waits
+                 {} gc-removed",
+                s.hits, s.misses, s.publishes, s.quarantined, s.gc_removed
             );
         }
         let s = memo::stats();
@@ -345,7 +345,7 @@ impl crate::checkpoint::Checkpointable for HybridLeg {
 
 /// The sub-evaluation fingerprint of the cycle-accurate reference for a
 /// workload/machine pair: the key [`iss_reference`] memoizes under, and the
-/// grouping key the [`eval`] planner co-locates sweep points by. Depends
+/// key the [`eval`] planner groups sweep points by. Depends
 /// only on the scenario — never on hybrid knobs — so every point of an
 /// ablation grid over one machine shares it.
 ///
@@ -605,7 +605,7 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
 }
 
 /// Pre-warms the persistent trace store for one Figure-4/Table-1 point:
-/// compiles (or claims) every trace the point's cycle-accurate runs will
+/// compiles every trace the point's cycle-accurate runs will
 /// need and publishes it, without running any simulation or keeping the
 /// traces in this process's memory (already-published traces are skipped
 /// outright). A no-op unless `MESH_TRACE_STORE` is configured. The sweep

@@ -1,13 +1,14 @@
-//! Tier-2 persistent cache: scenario-fingerprint → result memoization.
+//! Scenario-fingerprint → result memoization.
 //!
-//! Where the trace store (`mesh_cyclesim::store`) amortizes *compilation*,
-//! this module amortizes whole evaluations: with `MESH_RESULT_CACHE=<dir>`
-//! set, an experiment point whose complete scenario — workload content,
-//! machine timing, contention model and parameters, hybrid knobs,
-//! adversary mode — fingerprints identically to an earlier run is answered
-//! from disk in microseconds, without entering either simulator. This is
-//! the memo table a future `mesh-serve` daemon answers repeated scenario
-//! queries from (see ROADMAP).
+//! Where the trace store amortizes *compilation*, this module amortizes
+//! whole evaluations: an experiment point whose complete scenario —
+//! workload content, machine timing, contention model and parameters,
+//! hybrid knobs, adversary mode — fingerprints identically to an earlier
+//! evaluation is answered without entering either simulator. Values are
+//! served from a sharded in-process LRU and, with `MESH_RESULT_CACHE=<dir>`
+//! set, from the results namespace of the persistent store
+//! ([`mesh_cyclesim::store`]), which supplies the on-disk format,
+//! checksums, atomic publication, quarantine and GC.
 //!
 //! **Keys.** A [`ScenarioFp`] is a 128-bit FNV-1a fold seeded with a format
 //! version and a domain tag (e.g. `"compare"`), extended with the trace
@@ -20,34 +21,28 @@
 //! semantics change, so stale caches read as misses rather than serving
 //! outdated results.
 //!
-//! **Entries** are one file per fingerprint: a header line
-//! `mesh-result v1 <fp> <checksum>` followed by the value's
-//! [`Checkpointable`] encoding (the same lossless token format the sweep
-//! checkpoints use — floats travel as bit patterns, so a memoized result is
-//! *byte-identical* to the computed one). Files are published with the
-//! temp + rename pattern; a corrupt or mismatched entry is quarantined
-//! (renamed to `<fp>.quarantined`) and recomputed. Entries are a few
-//! hundred bytes, so there is no GC tier — wipe the directory to reset.
+//! **Values** travel as their [`Checkpointable`] encoding (the same
+//! lossless token format the sweep checkpoints use — floats travel as bit
+//! patterns, so a memoized result is *byte-identical* to the computed one).
 
 use crate::checkpoint::Checkpointable;
+use mesh_cyclesim::store::Namespace;
 use std::collections::HashMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Environment variable enabling result memoization: a directory path
-/// (created if absent). Unset or empty disables the cache.
+/// Environment variable enabling the persistent result cache: a directory
+/// path (created if absent). Unset or empty disables it.
 pub const RESULT_CACHE_ENV: &str = "MESH_RESULT_CACHE";
 
-/// Environment variable sizing the in-process sub-evaluation LRU (entry
-/// count, split over shards). `0` disables the tier; unset uses
-/// [`DEFAULT_SUBEVAL_LRU`].
-pub const SUBEVAL_LRU_ENV: &str = "MESH_SUBEVAL_LRU";
+/// The store namespace of memoized results: `<key>.res` entries whose
+/// payload is the value's checkpoint-token string, obs counters
+/// `bench.result_cache.*`.
+static RESULTS: Namespace = Namespace::new(2, RESULT_CACHE_ENV, "res", "bench.result_cache");
 
-/// Default capacity (entries) of the in-process sub-evaluation LRU.
-pub const DEFAULT_SUBEVAL_LRU: usize = 4096;
+/// Capacity (entries) of the in-process sub-evaluation LRU.
+const SUBEVAL_LRU_ENTRIES: usize = 4096;
 
 /// Bumped whenever the meaning of a memoized value changes (new estimator
 /// semantics, changed percentage definitions, …): entries written by other
@@ -131,73 +126,24 @@ impl ScenarioFp {
 // Configuration.
 // ---------------------------------------------------------------------------
 
-/// `None` = unresolved; `Some(None)` = disabled; `Some(Some(dir))` = on.
-fn config_cell() -> &'static Mutex<Option<Option<PathBuf>>> {
-    static CELL: OnceLock<Mutex<Option<Option<PathBuf>>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
-}
-
-fn dir() -> Option<PathBuf> {
-    let mut cell = config_cell().lock().expect("memo config poisoned");
-    if cell.is_none() {
-        *cell = Some(dir_from_env());
-    }
-    cell.as_ref().expect("just resolved").clone()
-}
-
-fn dir_from_env() -> Option<PathBuf> {
-    let dir = std::env::var_os(RESULT_CACHE_ENV)?;
-    if dir.is_empty() {
-        return None;
-    }
-    let dir = PathBuf::from(dir);
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!(
-            "mesh-bench: {RESULT_CACHE_ENV}={} is unusable ({e}); result cache disabled",
-            dir.display()
-        );
-        return None;
-    }
-    Some(dir)
-}
-
-/// Points the result cache at `dir` (created if needed) for the rest of the
-/// process, overriding [`RESULT_CACHE_ENV`]; `None` disables it. Used by
-/// perfsuite's memo-hit section and tests.
+/// Points the persistent result cache at `dir` (created if needed) for the
+/// rest of the process, overriding [`RESULT_CACHE_ENV`]; `None` disables
+/// it. Used by perfsuite's memo-hit section and tests.
 pub fn set_result_cache(dir: Option<&Path>) {
-    let resolved = match dir {
-        None => None,
-        Some(d) => {
-            if let Err(e) = fs::create_dir_all(d) {
-                eprintln!(
-                    "mesh-bench: result cache {} is unusable ({e}); disabled",
-                    d.display()
-                );
-                None
-            } else {
-                Some(d.to_path_buf())
-            }
-        }
-    };
-    *config_cell().lock().expect("memo config poisoned") = Some(resolved);
+    RESULTS.configure(dir);
 }
 
-/// Whether result memoization is active (via [`RESULT_CACHE_ENV`] or
-/// [`set_result_cache`]).
+/// Whether the persistent result cache is active (via [`RESULT_CACHE_ENV`]
+/// or [`set_result_cache`]).
 pub fn enabled() -> bool {
-    dir().is_some()
+    RESULTS.configured().is_some()
 }
 
 // ---------------------------------------------------------------------------
-// Tier-1 in-process sub-evaluation LRU.
+// In-process sub-evaluation LRU.
 // ---------------------------------------------------------------------------
 
 const LRU_SHARD_COUNT: usize = 16;
-
-/// Sentinel meaning "capacity not resolved yet" in [`LRU_CAPACITY`].
-const LRU_UNRESOLVED: usize = usize::MAX;
-
-static LRU_CAPACITY: AtomicUsize = AtomicUsize::new(LRU_UNRESOLVED);
 
 struct LruShard {
     /// fp → (last-touch stamp, encoded value).
@@ -217,35 +163,8 @@ fn lru_shards() -> &'static [Mutex<LruShard>; LRU_SHARD_COUNT] {
     })
 }
 
-fn lru_capacity() -> usize {
-    let cap = LRU_CAPACITY.load(Ordering::Relaxed);
-    if cap != LRU_UNRESOLVED {
-        return cap;
-    }
-    let resolved = std::env::var(SUBEVAL_LRU_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_SUBEVAL_LRU)
-        .min(LRU_UNRESOLVED - 1);
-    LRU_CAPACITY.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// Sets the in-process sub-evaluation LRU capacity (entries; `0` disables
-/// the tier), overriding [`SUBEVAL_LRU_ENV`]. Used by perfsuite's sweep
-/// section and tests.
-pub fn set_subeval_lru_capacity(entries: usize) {
-    LRU_CAPACITY.store(entries.min(LRU_UNRESOLVED - 1), Ordering::Relaxed);
-}
-
-/// The in-process sub-evaluation LRU's current capacity in entries (`0` =
-/// tier disabled), resolving [`SUBEVAL_LRU_ENV`] on first use.
-pub fn subeval_lru_capacity() -> usize {
-    lru_capacity()
-}
-
-/// Drops every entry of the in-process sub-evaluation LRU (capacity is
-/// unchanged). Used to stage cold-start measurements.
+/// Drops every entry of the in-process sub-evaluation LRU. Used to stage
+/// cold-start measurements.
 pub fn clear_subeval_lru() {
     for shard in lru_shards() {
         let mut shard = shard.lock().expect("subeval LRU poisoned");
@@ -260,9 +179,6 @@ fn lru_shard_index(fp: u128) -> usize {
 }
 
 fn lru_get<V: Checkpointable>(fp: u128) -> Option<V> {
-    if lru_capacity() == 0 {
-        return None;
-    }
     let mut shard = lru_shards()[lru_shard_index(fp)]
         .lock()
         .expect("subeval LRU poisoned");
@@ -280,11 +196,7 @@ fn lru_get<V: Checkpointable>(fp: u128) -> Option<V> {
 }
 
 fn lru_put(fp: u128, encoded: String) {
-    let capacity = lru_capacity();
-    if capacity == 0 {
-        return;
-    }
-    let per_shard = (capacity / LRU_SHARD_COUNT).max(1);
+    let per_shard = SUBEVAL_LRU_ENTRIES / LRU_SHARD_COUNT;
     let mut shard = lru_shards()[lru_shard_index(fp)]
         .lock()
         .expect("subeval LRU poisoned");
@@ -302,48 +214,53 @@ fn lru_put(fp: u128, encoded: String) {
 // Single-flight: concurrent callers of one fingerprint compute once.
 // ---------------------------------------------------------------------------
 
-fn inflight() -> &'static Mutex<HashMap<u128, Arc<Mutex<()>>>> {
-    static CELL: OnceLock<Mutex<HashMap<u128, Arc<Mutex<()>>>>> = OnceLock::new();
+type Gate = Arc<Mutex<()>>;
+
+fn inflight() -> &'static Mutex<HashMap<u128, Gate>> {
+    static CELL: OnceLock<Mutex<HashMap<u128, Gate>>> = OnceLock::new();
     CELL.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn inflight_gate(fp: u128) -> Arc<Mutex<()>> {
-    let mut map = inflight().lock().expect("singleflight map poisoned");
+fn inflight_gate(fp: u128) -> Gate {
+    let mut map = inflight().lock().unwrap_or_else(PoisonError::into_inner);
     map.entry(fp).or_default().clone()
 }
 
-fn inflight_done(fp: u128) {
-    let mut map = inflight().lock().expect("singleflight map poisoned");
-    map.remove(&fp);
+/// Retires `fp`'s gate from the in-flight map when dropped — on return
+/// *and* on unwind, so a panicking computation never leaves its gate
+/// behind for later callers. A gate some newer flight already replaced is
+/// left alone.
+struct Retire<'g> {
+    fp: u128,
+    gate: &'g Gate,
+}
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        let mut map = inflight().lock().unwrap_or_else(PoisonError::into_inner);
+        if map.get(&self.fp).is_some_and(|g| Arc::ptr_eq(g, self.gate)) {
+            map.remove(&self.fp);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Statistics.
 // ---------------------------------------------------------------------------
 
-static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-static STORES: AtomicU64 = AtomicU64::new(0);
-static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static LRU_HITS: AtomicU64 = AtomicU64::new(0);
 
-fn bump(counter: &AtomicU64, obs_name: &str) {
-    counter.fetch_add(1, Ordering::Relaxed);
-    if mesh_obs::enabled() {
-        mesh_obs::counter(obs_name).inc();
-    }
-}
-
-/// Counters of the result-memoization cache since process start.
+/// Counters of result memoization since process start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResultCacheStats {
-    /// Evaluations answered from a valid cached entry.
+    /// Evaluations answered from a valid persistent entry.
     pub hits: u64,
-    /// Lookups that found no (valid) entry and computed the value.
+    /// Lookups that found no cached value and computed it.
     pub misses: u64,
-    /// Freshly computed values published to the cache.
+    /// Freshly computed values published to the persistent cache.
     pub stores: u64,
-    /// Corrupt entries renamed aside and recomputed.
+    /// Corrupt persistent entries renamed aside and recomputed.
     pub quarantined: u64,
     /// Sub-evaluations answered from the in-process LRU without touching
     /// disk.
@@ -352,84 +269,14 @@ pub struct ResultCacheStats {
 
 /// Snapshot of the result cache's counters.
 pub fn stats() -> ResultCacheStats {
+    let disk = RESULTS.stats();
     ResultCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
+        hits: disk.hits,
         misses: MISSES.load(Ordering::Relaxed),
-        stores: STORES.load(Ordering::Relaxed),
-        quarantined: QUARANTINED.load(Ordering::Relaxed),
+        stores: disk.publishes,
+        quarantined: disk.quarantined,
         lru_hits: LRU_HITS.load(Ordering::Relaxed),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Entry I/O.
-// ---------------------------------------------------------------------------
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn entry_path(dir: &Path, fp: u128) -> PathBuf {
-    dir.join(format!("{fp:032x}.res"))
-}
-
-fn read_entry<V: Checkpointable>(dir: &Path, fp: u128) -> Option<V> {
-    let path = entry_path(dir, fp);
-    let text = fs::read_to_string(&path).ok()?;
-    let parsed = (|| {
-        let (header, value) = text.split_once('\n')?;
-        let mut h = header.split_whitespace();
-        if h.next()? != "mesh-result" || h.next()? != "v1" {
-            return None;
-        }
-        if u128::from_str_radix(h.next()?, 16).ok()? != fp {
-            return None;
-        }
-        let sum = u64::from_str_radix(h.next()?, 16).ok()?;
-        if h.next().is_some() {
-            return None;
-        }
-        let value = value.strip_suffix('\n').unwrap_or(value);
-        if fnv64(value.as_bytes()) != sum {
-            return None;
-        }
-        V::decode(value)
-    })();
-    if parsed.is_none() {
-        // Keep the bad entry for post-mortems, out of the lookup path.
-        if fs::rename(&path, dir.join(format!("{fp:032x}.quarantined"))).is_err() {
-            let _ = fs::remove_file(&path);
-        }
-        bump(&QUARANTINED, "bench.result_cache.quarantined");
-    }
-    parsed
-}
-
-fn write_entry(dir: &Path, fp: u128, encoded: &str) {
-    let dest = entry_path(dir, fp);
-    if dest.exists() {
-        return; // First writer wins; entries for one fp are identical.
-    }
-    let tmp = dir.join(format!(".tmp-{}-{fp:032x}", std::process::id()));
-    let body = format!(
-        "mesh-result v1 {fp:032x} {:016x}\n{encoded}\n",
-        fnv64(encoded.as_bytes())
-    );
-    let written = (|| -> std::io::Result<()> {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.flush()
-    })();
-    if written.is_err() || dest.exists() || fs::rename(&tmp, &dest).is_err() {
-        let _ = fs::remove_file(&tmp);
-        return;
-    }
-    bump(&STORES, "bench.result_cache.stores");
 }
 
 /// Notes one memoized replay in the flight recorder (`a` = the low 64
@@ -447,97 +294,63 @@ fn flightrec_replay(fp: u128, lru: bool) {
     }
 }
 
-/// Returns the memoized value for `fp`, or computes it with `f` and
-/// publishes the result. With the cache disabled this is exactly `f()`.
-/// The encoding round-trips losslessly ([`Checkpointable`] floats travel as
-/// bit patterns), so a cache hit is byte-identical to a fresh computation.
-pub fn memoize<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> V {
-    let Some(dir) = dir() else {
-        return f();
-    };
-    {
-        let _span = mesh_obs::span("bench.result_cache.lookup_ns");
-        if let Some(v) = read_entry::<V>(&dir, fp) {
-            bump(&HITS, "bench.result_cache.hits");
-            flightrec_replay(fp, false);
-            return v;
-        }
+fn lru_hit<V: Checkpointable>(fp: u128) -> Option<V> {
+    let v = lru_get::<V>(fp)?;
+    LRU_HITS.fetch_add(1, Ordering::Relaxed);
+    if mesh_obs::enabled() {
+        mesh_obs::counter("bench.subeval.lru_hits").inc();
     }
-    bump(&MISSES, "bench.result_cache.misses");
-    let value = f();
-    write_entry(&dir, fp, &value.encode());
-    value
+    flightrec_replay(fp, true);
+    Some(v)
 }
 
-/// Like [`memoize`], but layered over the in-process sub-evaluation LRU
-/// (always on unless [`SUBEVAL_LRU_ENV`] is `0`) *and* the persistent tier
-/// (when enabled), and reporting provenance: the second element is `true`
-/// when the value was served from either cache rather than computed.
+/// Returns the memoized value for `fp`, or computes it with `f`, layered
+/// over the in-process sub-evaluation LRU and — when enabled — the
+/// persistent result cache. The second element is `true` when the value
+/// was served from either cache rather than computed. The encoding
+/// round-trips losslessly ([`Checkpointable`] floats travel as bit
+/// patterns), so a cache hit is byte-identical to a fresh computation.
 ///
 /// Concurrent callers of one fingerprint are single-flighted — losers block
 /// on the winner's computation and then read it from the cache — so a
 /// parallel sweep whose points share a sub-evaluation computes it exactly
-/// once per process.
+/// once per process. If the winner's `f` panics, the losers compute the
+/// value themselves and later calls start afresh.
 pub fn memoize_flagged<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> (V, bool) {
-    if let Some(v) = lru_get::<V>(fp) {
-        bump(&LRU_HITS, "bench.subeval.lru_hits");
-        flightrec_replay(fp, true);
+    if let Some(v) = lru_hit(fp) {
         return (v, true);
     }
     let gate = inflight_gate(fp);
-    let guard = gate.lock().expect("singleflight gate poisoned");
+    let _retire = Retire { fp, gate: &gate };
+    // A panicking winner poisons the gate; the value it guards is `()`, so
+    // the poison carries no broken state and losers simply proceed.
+    let _held = gate.lock().unwrap_or_else(PoisonError::into_inner);
     // A loser arriving here finds the winner's freshly published value.
-    if let Some(v) = lru_get::<V>(fp) {
-        bump(&LRU_HITS, "bench.subeval.lru_hits");
-        flightrec_replay(fp, true);
-        drop(guard);
+    if let Some(v) = lru_hit(fp) {
         return (v, true);
     }
-    if let Some(dir) = dir() {
-        let _span = mesh_obs::span("bench.result_cache.lookup_ns");
-        if let Some(v) = read_entry::<V>(&dir, fp) {
-            bump(&HITS, "bench.result_cache.hits");
-            flightrec_replay(fp, false);
-            lru_put(fp, v.encode());
-            drop(guard);
-            inflight_done(fp);
-            return (v, true);
-        }
+    let disk = RESULTS.configured();
+    if let Some(v) = disk
+        .as_ref()
+        .and_then(|d| d.load(fp, |payload| V::decode(std::str::from_utf8(payload).ok()?)))
+    {
+        flightrec_replay(fp, false);
+        lru_put(fp, v.encode());
+        return (v, true);
     }
-    bump(&MISSES, "bench.result_cache.misses");
+    MISSES.fetch_add(1, Ordering::Relaxed);
     let value = f();
     let encoded = value.encode();
-    lru_put(fp, encoded.clone());
-    if let Some(dir) = dir() {
-        write_entry(&dir, fp, &encoded);
+    if let Some(d) = &disk {
+        d.publish(fp, encoded.as_bytes());
     }
-    drop(guard);
-    inflight_done(fp);
+    lru_put(fp, encoded);
     (value, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_cache(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mesh-memo-test-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create temp cache");
-        dir
-    }
-
-    /// memoize() against an explicit directory, bypassing the process-global
-    /// configuration (tests run in parallel within one process).
-    fn memoize_in<V: Checkpointable>(dir: &Path, fp: u128, f: impl FnOnce() -> V) -> V {
-        if let Some(v) = read_entry::<V>(dir, fp) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        let value = f();
-        write_entry(dir, fp, &value.encode());
-        value
-    }
 
     #[test]
     fn fingerprints_separate_every_ingredient() {
@@ -575,51 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn memoize_round_trips_and_counts() {
-        let dir = temp_cache("roundtrip");
-        let value = (42u64, 2.5f64, 7usize);
-        let first = memoize_in(&dir, 0xAB, || value);
-        assert_eq!(first, value);
-        let second =
-            memoize_in::<(u64, f64, usize)>(&dir, 0xAB, || panic!("must be served from cache"));
-        assert_eq!(second, value);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_entries_quarantine_and_recompute() {
-        let dir = temp_cache("corrupt");
-        let _ = memoize_in(&dir, 0xCD, || 1234u64);
-        let path = entry_path(&dir, 0xCD);
-        // Flip a byte of the value line: the checksum must catch it.
-        let mut text = fs::read_to_string(&path).unwrap();
-        let flip = text.len() - 2;
-        text.replace_range(flip..flip + 1, "X");
-        fs::write(&path, text).unwrap();
-        let before = stats().quarantined;
-        let recomputed = memoize_in(&dir, 0xCD, || 1234u64);
-        assert_eq!(recomputed, 1234);
-        assert_eq!(stats().quarantined, before + 1);
-        assert!(dir.join(format!("{:032x}.quarantined", 0xCD)).exists());
-        // The recompute re-published a valid entry.
-        assert_eq!(memoize_in::<u64>(&dir, 0xCD, || panic!("cached")), 1234);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_fingerprint_and_version_reject() {
-        let dir = temp_cache("foreign");
-        let _ = memoize_in(&dir, 0xEF, || 5u64);
-        // Copy the entry under a different fingerprint: key check rejects.
-        fs::copy(entry_path(&dir, 0xEF), entry_path(&dir, 0xFF)).unwrap();
-        assert_eq!(memoize_in(&dir, 0xFF, || 6u64), 6, "foreign key recomputes");
-        // An entry from a future format version reads as corrupt.
-        fs::write(
-            entry_path(&dir, 0xAA),
-            "mesh-result v9 000000000000000000000000000000aa 0000000000000000\n5\n",
-        )
-        .unwrap();
-        assert_eq!(memoize_in(&dir, 0xAA, || 7u64), 7);
-        let _ = fs::remove_dir_all(&dir);
+    fn a_panicking_computation_does_not_poison_its_fingerprint() {
+        let fp = ScenarioFp::new("memo-test-panic").finish();
+        let panicked = std::panic::catch_unwind(|| {
+            memoize_flagged::<u64>(fp, || panic!("sub-evaluation failed"))
+        });
+        assert!(panicked.is_err());
+        assert_eq!(memoize_flagged(fp, || 7u64), (7, false), "recomputed");
+        assert_eq!(memoize_flagged(fp, || 8u64), (7, true), "then cached");
     }
 }

@@ -33,10 +33,9 @@
 //! persistent trace store (`MESH_TRACE_STORE`) and the result memo cache
 //! (`MESH_RESULT_CACHE`) were active, since a warm store turns compile
 //! benchmarks into page-cache reads; the same refusal applies to them when
-//! the parallelism configuration is recorded. `planner` and `subeval_lru`
-//! record the split-phase evaluation knobs (`MESH_BENCH_PLANNER`,
-//! `MESH_SUBEVAL_LRU`) as 0 = unrecorded / 1 = on / 2 = off, refusing
-//! comparison only when both files record a value and they differ.
+//! the parallelism configuration is recorded. Files from before those
+//! knobs became constants may still carry `planner` and `subeval_lru`
+//! fields; the reader ignores them.
 //!
 //! Benchmark names contain only `[A-Za-z0-9_/.-]`, so no string escaping is
 //! needed; [`BenchFile::from_json`] rejects anything else.
@@ -74,12 +73,6 @@ pub struct BenchFile {
     /// 1 when the result memo cache (`MESH_RESULT_CACHE`) was active,
     /// 0 when off or unrecorded (files predating the field).
     pub result_cache: usize,
-    /// Split-phase planner state (`MESH_BENCH_PLANNER`): 1 = on, 2 = off,
-    /// 0 = unrecorded (files predating the field).
-    pub planner: usize,
-    /// Sub-evaluation LRU state (`MESH_SUBEVAL_LRU`): 1 = on, 2 = disabled,
-    /// 0 = unrecorded (files predating the field).
-    pub subeval_lru: usize,
     /// The measurements, in execution order.
     pub benchmarks: Vec<BenchRecord>,
 }
@@ -103,8 +96,6 @@ impl BenchFile {
         out.push_str(&format!("  \"shards\": {},\n", self.shards));
         out.push_str(&format!("  \"trace_store\": {},\n", self.trace_store));
         out.push_str(&format!("  \"result_cache\": {},\n", self.result_cache));
-        out.push_str(&format!("  \"planner\": {},\n", self.planner));
-        out.push_str(&format!("  \"subeval_lru\": {},\n", self.subeval_lru));
         out.push_str("  \"benchmarks\": [\n");
         for (i, b) in self.benchmarks.iter().enumerate() {
             let comma = if i + 1 == self.benchmarks.len() {
@@ -179,8 +170,6 @@ impl BenchFile {
         let shards = usize_field(text, "shards")?;
         let trace_store = usize_field(text, "trace_store")?;
         let result_cache = usize_field(text, "result_cache")?;
-        let planner = usize_field(text, "planner")?;
-        let subeval_lru = usize_field(text, "subeval_lru")?;
         let mut benchmarks = Vec::new();
         let body = &text[text.find("\"benchmarks\"").ok_or("missing benchmarks")?..];
         let mut rest = body;
@@ -212,8 +201,6 @@ impl BenchFile {
             shards,
             trace_store,
             result_cache,
-            planner,
-            subeval_lru,
             benchmarks,
         })
     }
@@ -346,27 +333,6 @@ pub fn check_regression(
                 current.result_cache, baseline.result_cache
             ));
         }
-        // The split-phase knobs use 0 = unrecorded individually, so a new
-        // current against a committed pre-planner baseline still compares.
-        if current.planner != 0 && baseline.planner != 0 && current.planner != baseline.planner {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with planner={} but baseline with \
-                 planner={} (1 = on, 2 = off) — reference-phase scheduling changes sweep \
-                 medians, so they are not comparable",
-                current.planner, baseline.planner
-            ));
-        }
-        if current.subeval_lru != 0
-            && baseline.subeval_lru != 0
-            && current.subeval_lru != baseline.subeval_lru
-        {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with subeval_lru={} but baseline with \
-                 subeval_lru={} (1 = on, 2 = disabled) — a warm sub-evaluation LRU skips \
-                 simulations, so medians are not comparable",
-                current.subeval_lru, baseline.subeval_lru
-            ));
-        }
         if !mismatches.is_empty() {
             return Err(mismatches);
         }
@@ -411,8 +377,6 @@ mod tests {
             shards: 0,
             trace_store: 0,
             result_cache: 0,
-            planner: 1,
-            subeval_lru: 1,
             benchmarks: vec![
                 BenchRecord {
                     name: "cyclesim/smoke_fft_skip".to_string(),
@@ -485,34 +449,10 @@ mod tests {
             .replace("  \"jobs\": 4,\n", "")
             .replace("  \"shards\": 0,\n", "")
             .replace("  \"trace_store\": 0,\n", "")
-            .replace("  \"result_cache\": 0,\n", "")
-            .replace("  \"planner\": 1,\n", "")
-            .replace("  \"subeval_lru\": 1,\n", "");
+            .replace("  \"result_cache\": 0,\n", "");
         let parsed = BenchFile::from_json(&text).expect("pre-fabric file parses");
         assert_eq!((parsed.jobs, parsed.shards), (0, 0));
         assert_eq!((parsed.trace_store, parsed.result_cache), (0, 0));
-        assert_eq!((parsed.planner, parsed.subeval_lru), (0, 0));
-    }
-
-    #[test]
-    fn split_phase_config_mismatch_refuses_comparison() {
-        let baseline = sample_file();
-        let mut current = sample_file();
-        current.planner = 2;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
-        assert_eq!(err.len(), 1);
-        assert!(err[0].contains("planner=2"), "{err:?}");
-        let mut current = sample_file();
-        current.subeval_lru = 2;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
-        assert!(err[0].contains("subeval_lru=2"), "{err:?}");
-        // A baseline that predates the split-phase fields (planner
-        // unrecorded) compares fine even when the rest of the
-        // configuration is recorded.
-        let mut old = sample_file();
-        old.planner = 0;
-        old.subeval_lru = 0;
-        assert_eq!(check_regression(&current, &old, "cyclesim/", 2.0), Ok(1));
     }
 
     #[test]

@@ -851,8 +851,8 @@ where
 
 /// [`try_sweep_labeled`] with a trace-store pre-warm hook.
 ///
-/// `prewarm` compiles (or claims) everything a point's evaluation will need
-/// from the persistent trace store (`MESH_TRACE_STORE`), without running any
+/// `prewarm` publishes every trace a point's evaluation will need to the
+/// persistent trace store (`MESH_TRACE_STORE`), without running any
 /// simulation — typically a thin wrapper over
 /// [`mesh_cyclesim::ensure_stored`], which also skips already-published
 /// traces instead of loading them into the parent.

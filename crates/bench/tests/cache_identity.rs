@@ -2,9 +2,9 @@
 //! must produce the same simulated numbers with the trace store off, cold,
 //! and warm; a result-memo replay must reproduce the populating point
 //! *exactly* (recorded wall clocks included); a planner-driven sweep's
-//! stdout must be byte-identical across {planner off, planner on, sub-memo
-//! cold, sub-memo warm, sharded}; and distinct hybrid knob settings must
-//! never collide within a sub-evaluation fingerprint domain.
+//! stdout must be byte-identical across {sub-memo cold, sub-memo warm,
+//! sharded}; and distinct hybrid knob settings must never collide within a
+//! sub-evaluation fingerprint domain.
 //!
 //! The in-process leg test mutates process-global cache configuration, so
 //! its legs run in sequence inside one test function; the stdout legs spawn
@@ -137,12 +137,10 @@ fn results_identical_across_cache_configurations() {
 
 const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
 
-/// Cache/planner/fabric variables that must not leak into the spawned legs.
+/// Cache/fabric variables that must not leak into the spawned legs.
 const SCRUB: &[&str] = &[
     "MESH_RESULT_CACHE",
     "MESH_TRACE_STORE",
-    "MESH_SUBEVAL_LRU",
-    "MESH_BENCH_PLANNER",
     "MESH_BENCH_SHARDS",
     "MESH_BENCH_CHECKPOINT",
     "MESH_BENCH_PROGRESS",
@@ -165,12 +163,12 @@ fn demo_stdout(envs: &[(&str, String)]) -> String {
 }
 
 /// The tentpole invariant, end to end: the same sweep's stdout — wall-clock
-/// columns included — is byte-identical whether the planner is on or off,
-/// whether the sub-evaluation memo is cold or warm, and whether the sweep
-/// runs in-process or sharded across worker processes. The first (cold) leg
-/// records the timings; every warm leg replays them exactly.
+/// columns included — is byte-identical whether the sub-evaluation memo is
+/// cold or warm, and whether the sweep runs in-process or sharded across
+/// worker processes. The first (cold) leg records the timings; every warm
+/// leg replays them exactly.
 #[test]
-fn sweep_stdout_byte_identical_across_planner_memo_and_sharding() {
+fn sweep_stdout_byte_identical_across_memo_and_sharding() {
     let memo_dir = std::env::temp_dir().join(format!(
         "mesh-cache-identity-stdout-{}-memo",
         std::process::id()
@@ -178,25 +176,17 @@ fn sweep_stdout_byte_identical_across_planner_memo_and_sharding() {
     let _ = std::fs::remove_dir_all(&memo_dir);
     let memo_env = ("MESH_RESULT_CACHE", memo_dir.display().to_string());
 
-    // Leg 1: sub-memo cold, planner on — populates the shared cache.
+    // Leg 1: sub-memo cold — populates the shared cache.
     let cold = demo_stdout(std::slice::from_ref(&memo_env));
 
-    // Leg 2: planner off, memo warm.
-    let planner_off = demo_stdout(&[memo_env.clone(), ("MESH_BENCH_PLANNER", "off".into())]);
-    assert_eq!(planner_off, cold, "planner off diverged");
-
-    // Leg 3: planner on, memo warm.
+    // Leg 2: memo warm.
     let warm = demo_stdout(std::slice::from_ref(&memo_env));
     assert_eq!(warm, cold, "memo-warm replay diverged");
 
-    // Leg 4: sharded across two worker processes, memo warm.
+    // Leg 3: sharded across two worker processes, memo warm.
     let sharded = demo_stdout(&[memo_env.clone(), ("MESH_BENCH_SHARDS", "2".into())]);
     assert_eq!(sharded, cold, "sharded run diverged");
 
-    // Leg 5: fresh cache directory, planner on, sharded — a cold multi-
-    // process run must still agree on every simulated field (wall columns
-    // are recorded by whichever process computes them first, so the full
-    // byte comparison only applies to the shared-cache legs above).
     assert!(
         cold.contains("min_ts"),
         "demo printed its table header: {cold}"

@@ -37,26 +37,16 @@ fn arb_file() -> impl Strategy<Value = BenchFile> {
         any::<bool>(),
         (0usize..64, 0usize..64),
         (0usize..2, 0usize..2),
-        (0usize..3, 0usize..3),
         prop::collection::vec((arb_token(32), arb_median()), 0..8),
     )
         .prop_map(
-            |(
-                git_sha,
-                quick,
-                (jobs, shards),
-                (trace_store, result_cache),
-                (planner, subeval_lru),
-                benchmarks,
-            )| BenchFile {
+            |(git_sha, quick, (jobs, shards), (trace_store, result_cache), benchmarks)| BenchFile {
                 git_sha,
                 quick,
                 jobs,
                 shards,
                 trace_store,
                 result_cache,
-                planner,
-                subeval_lru,
                 benchmarks: benchmarks
                     .into_iter()
                     .map(|(name, median_ns)| BenchRecord { name, median_ns })
@@ -96,8 +86,6 @@ fn every_prefix_of_a_valid_file_is_handled() {
         shards: 2,
         trace_store: 1,
         result_cache: 0,
-        planner: 1,
-        subeval_lru: 2,
         benchmarks: vec![
             BenchRecord {
                 name: "cyclesim/fig4_p8_8KB_skip".to_string(),
@@ -126,8 +114,6 @@ fn malformed_fields_are_errors_not_panics() {
         shards: 0,
         trace_store: 0,
         result_cache: 1,
-        planner: 1,
-        subeval_lru: 1,
         benchmarks: vec![BenchRecord {
             name: "cyclesim/x".to_string(),
             median_ns: 10.0,
@@ -169,11 +155,36 @@ fn quick_flag_survives_a_confusing_sha() {
             shards: 0,
             trace_store: 0,
             result_cache: 0,
-            planner: 0,
-            subeval_lru: 0,
             benchmarks: Vec::new(),
         };
         let parsed = BenchFile::from_json(&file.to_json()).expect("parse");
         assert_eq!(parsed, file);
     }
+}
+
+/// Files written while the split-phase planner and the sub-evaluation LRU
+/// were still knobs carry `planner` and `subeval_lru` fields; they parse,
+/// and the retired fields are ignored.
+#[test]
+fn files_with_retired_knob_fields_parse() {
+    let text = "{\n  \"git_sha\": \"26172bf37f33\",\n  \"quick\": true,\n  \"jobs\": 2,\n  \
+                \"shards\": 0,\n  \"trace_store\": 0,\n  \"result_cache\": 0,\n  \
+                \"planner\": 1,\n  \"subeval_lru\": 2,\n  \"benchmarks\": [\n    \
+                { \"name\": \"sweep/grid_shared\", \"median_ns\": 12.5 }\n  ]\n}\n";
+    let parsed = BenchFile::from_json(text).expect("a file with retired fields parses");
+    assert_eq!(
+        parsed,
+        BenchFile {
+            git_sha: "26172bf37f33".to_string(),
+            quick: true,
+            jobs: 2,
+            shards: 0,
+            trace_store: 0,
+            result_cache: 0,
+            benchmarks: vec![BenchRecord {
+                name: "sweep/grid_shared".to_string(),
+                median_ns: 12.5,
+            }],
+        }
+    );
 }

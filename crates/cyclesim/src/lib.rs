@@ -18,9 +18,10 @@
 //! events. The on-the-fly cursor path remains available behind
 //! [`TraceMode::OnTheFly`] and produces identical reports. Setting
 //! `MESH_TRACE_STORE=<dir>` adds a persistent cross-process tier (the
-//! [`store`] module): compiled traces are published to a content-addressed
-//! on-disk store so the compile cost is paid once per *machine*, not once
-//! per process.
+//! [`store`] module, which also holds the bench harness's memoized
+//! results): compiled traces are published to a content-addressed on-disk
+//! store so the compile cost is paid once per *machine*, not once per
+//! process.
 //!
 //! The simulator consumes the same [`Workload`](mesh_workloads::Workload)
 //! and [`MachineConfig`](mesh_arch::MachineConfig) the hybrid setup uses, so
@@ -41,7 +42,8 @@ pub use sim::{
     simulate, simulate_with_limit, simulate_with_options, CycleReport, CycleSimError,
     ProcCycleStats, SimOptions,
 };
-pub use store::{set_store, store_enabled, store_stats, TraceStoreStats};
+pub use store::StoreStats;
 pub use trace::{
-    cache_stats, ensure_stored, prewarm, workload_fingerprint, TraceCacheStats, TraceMode,
+    cache_stats, ensure_stored, prewarm, set_store, store_enabled, store_stats,
+    workload_fingerprint, TraceCacheStats, TraceMode,
 };

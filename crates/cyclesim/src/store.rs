@@ -1,122 +1,184 @@
-//! Persistent, cross-process trace store: compile once per *machine*.
+//! Persistent, cross-process store: one content-addressed on-disk format
+//! for every cache that outlives a process.
 //!
-//! The cross-sweep cache in [`trace`](crate::trace) amortizes compilation
-//! within one process, but every fabric worker (`MESH_BENCH_SHARDS`) and
-//! every fresh sweep run still pays the full compile again. Setting
-//! `MESH_TRACE_STORE=<dir>` adds a content-addressed on-disk tier under it:
+//! Each client of the store defines a [`Namespace`] of its own — a
+//! `static` naming its directory's environment variable, its file
+//! extension, its header tag and its obs metric prefix — and hands the
+//! store an opaque byte payload that it encodes and validates itself. The
+//! workspace has two: compiled task traces (`mesh_cyclesim::trace`) and
+//! memoized evaluation results (`mesh_bench::memo`).
 //!
-//! * **Content addressing.** A compiled `TaskTrace` is stored at
-//!   `<dir>/<key>.trace` where `key` is the same 128-bit content
-//!   fingerprint the in-memory cache uses — everything the compiler reads
-//!   (segments, processor timing digest, derived pacing). Identical
-//!   scenarios resolve to identical files no matter which process, binary
-//!   or sweep produced them.
-//! * **Versioned binary format.** Each file is a fixed 40-byte header
-//!   (magic `MTRS`, format version, key, step count, FNV-1a 64 payload
-//!   checksum) followed by fixed-width 33-byte step records. Any mismatch —
-//!   bad magic, other version, foreign key, short payload, checksum or
-//!   field-validity failure — quarantines the file (renamed to
-//!   `<key>.quarantined`) and recompiles. A reader never panics on, and
-//!   never returns, corrupt data.
-//! * **Atomic first-writer-wins publication.** Writers serialize to a
-//!   `.tmp-<pid>-<key>` sibling and `rename` into place, so a complete
-//!   `.trace` file is all a concurrent reader can ever observe. A
-//!   `<key>.lock` claim file (created with `create_new`) elects one
-//!   compiler per key machine-wide; losers poll for the published file.
-//!   Claims are leases, not mutexes: a stale lock (holder killed) or an
-//!   expired wait degrades to a local compile — duplicated work is always
-//!   safe because content addressing makes every writer's bytes identical.
-//! * **Size-budgeted GC.** After publishing, the writer evicts
-//!   oldest-modified `.trace` files until the store fits
-//!   `MESH_TRACE_STORE_BYTES` (default 2 GiB), and sweeps leftover claim
-//!   and temp files from dead processes.
+//! Every namespace shares everything below the payload:
 //!
-//! Reads go through the ordinary buffered page cache (`fs::read`) straight
-//! into the in-memory cache — the crate-wide `forbid(unsafe_code)` rules
-//! out `mmap`, and a warm page-cache read of the fixed-width format is
-//! already far cheaper than the compile it replaces. Loads and compiles
-//! mirror into `cyclesim.trace_store.*` obs counters, so a warm sweep is
-//! checkable end to end (`cyclesim.trace.compiles == 0`).
+//! * **Content addressing.** An entry lives at `<dir>/<key>.<ext>`, where
+//!   `key` is a 128-bit fingerprint of everything that determines the
+//!   payload. Identical inputs resolve to identical files no matter which
+//!   process, binary or sweep produced them.
+//! * **One header.** Each file is a fixed 44-byte header — magic `MTRS`,
+//!   format version, namespace tag, key, payload length, FNV-1a 64 payload
+//!   checksum — followed by the payload. A file from another format
+//!   version reads as a miss and is left in place (old and new binaries
+//!   can share a directory; the next publish replaces it). Anything else
+//!   that fails to check — bad magic, foreign namespace or key, short
+//!   payload, checksum, or a payload the caller's decoder rejects — is
+//!   corruption: the file is renamed to `<key>.quarantined` and the value
+//!   recomputed. A reader never panics on, and never returns, corrupt
+//!   data.
+//! * **Atomic publication.** A writer serializes to a unique
+//!   `.tmp-<pid>-<seq>-<key>` sibling and `rename`s it into place, so a
+//!   complete file is all a concurrent reader can ever observe. Writers
+//!   are not coordinated: racing processes may compute one key twice, and
+//!   each renames identical bytes over the other. That is waste, never a
+//!   hazard.
+//! * **Size-budgeted GC.** Each directory is bounded by
+//!   `MESH_TRACE_STORE_BYTES` (default 2 GiB). A process scans a directory
+//!   at its first publish there and again after each further sixteenth of
+//!   that budget it publishes, so small, frequent publishes never pay a
+//!   directory walk each. A scan evicts oldest-modified entries of the
+//!   namespace until the directory fits, and removes temp files that dead
+//!   processes left behind.
+//!
+//! Reads go through the ordinary buffered page cache (`fs::read`) — the
+//! crate-wide `forbid(unsafe_code)` rules out `mmap`, and a warm page-cache
+//! read is already far cheaper than the work it replaces. Loads, misses,
+//! publishes, quarantines and evictions mirror into obs counters under the
+//! namespace's prefix (`<prefix>.hits`, `.misses`, `.publishes`,
+//! `.quarantined`, `.gc_removed`, and the `.load_ns` span).
 
-use crate::trace::{StepEvent, TaskTrace, TraceStep};
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, SystemTime};
 
-/// Environment variable enabling the persistent trace store: a directory
-/// path (created if absent). Unset or empty disables the store.
-pub const STORE_ENV: &str = "MESH_TRACE_STORE";
-
-/// Environment variable bounding the store's total `.trace` bytes (default
-/// 2 GiB). After each publication the writer garbage-collects
-/// oldest-modified files until the store fits the budget.
+/// Environment variable bounding each store directory's entry bytes
+/// (default 2 GiB). Oldest-modified entries are evicted beyond it.
 pub const STORE_BYTES_ENV: &str = "MESH_TRACE_STORE_BYTES";
 
 const MAGIC: [u8; 4] = *b"MTRS";
-/// Bump on any semantic change to trace compilation or this encoding:
-/// version-mismatched files read as misses (they are never quarantined, so
-/// old and new binaries can share a directory during a transition).
-/// Version 2: super-step fusion — idle gaps fold into the macro-step as a
-/// dedicated field instead of being standalone events.
-const FORMAT_VERSION: u32 = 2;
-const HEADER_LEN: usize = 40;
-/// busy (8) + idle (8) + hits (8) + event tag (1) + event argument (8).
-const STEP_LEN: usize = 33;
+/// Bump on any change to this container or to a payload encoding:
+/// version-mismatched files read as misses (they are never quarantined).
+/// Version 2: super-step fusion (idle spans fold into the step record).
+/// Version 3: one header for every namespace (namespace tag, payload
+/// length in bytes).
+const FORMAT_VERSION: u32 = 3;
+/// magic (4) + version (4) + namespace (4) + key (16) + payload length (8)
+/// + payload checksum (8).
+const HEADER_LEN: usize = 44;
 const DEFAULT_STORE_BYTES: u64 = 2 << 30;
-
-/// A claim lock older than this is presumed abandoned (holder killed
-/// mid-compile) and broken; the waiter compiles locally. Duplicate compiles
-/// publish identical bytes, so breaking too eagerly is waste, not a hazard.
-const CLAIM_STALE: Duration = Duration::from_secs(10);
-/// Poll interval while waiting on another process's claimed compile.
-const CLAIM_POLL: Duration = Duration::from_millis(2);
-/// Hard ceiling on waiting for someone else's compile before going local.
-const CLAIM_DEADLINE: Duration = Duration::from_secs(60);
-
-// ---------------------------------------------------------------------------
-// Configuration.
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct StoreConfig {
-    dir: PathBuf,
-    budget: u64,
-}
+/// A process scans a directory at its first publish there and again after
+/// publishing each further `budget / GC_SLICES` bytes into it. Between
+/// scans the directory overshoots its budget by at most one slice per
+/// process that has published into it since the last scan.
+const GC_SLICES: u64 = 16;
+/// Temp files older than this belong to a process that died mid-publish.
+const STALE_TMP: Duration = Duration::from_secs(60);
 
 /// `None` = not resolved yet; `Some(None)` = disabled; `Some(Some(_))` = on.
-fn config_cell() -> &'static Mutex<Option<Option<StoreConfig>>> {
-    static CELL: OnceLock<Mutex<Option<Option<StoreConfig>>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
+type ConfigCell = Mutex<Option<Option<Arc<Store>>>>;
+
+/// One key space of the store, defined as a `static` by the module that
+/// owns its payload. Each namespace has its own directory, configuration
+/// and counters; all share the on-disk format.
+pub struct Namespace {
+    tag: u32,
+    env: &'static str,
+    extension: &'static str,
+    obs_prefix: &'static str,
+    config: ConfigCell,
+    counters: [AtomicU64; STATS],
 }
 
-fn config() -> Option<StoreConfig> {
-    let mut cell = config_cell().lock().expect("store config poisoned");
-    if cell.is_none() {
-        *cell = Some(config_from_env());
+// Names the namespace by its variable only: the config cell holds a `Store`
+// that points back here.
+impl std::fmt::Debug for Namespace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.env)
     }
-    cell.as_ref().expect("just resolved").clone()
 }
 
-fn config_from_env() -> Option<StoreConfig> {
-    let dir = std::env::var_os(STORE_ENV)?;
-    if dir.is_empty() {
-        return None;
+impl Namespace {
+    /// A namespace whose header tag is `tag` (distinct per namespace),
+    /// whose directory is named by the environment variable `env`, whose
+    /// entries are `<key>.<extension>` files, and whose obs metrics are
+    /// named `<obs_prefix>.<stat>`.
+    pub const fn new(
+        tag: u32,
+        env: &'static str,
+        extension: &'static str,
+        obs_prefix: &'static str,
+    ) -> Namespace {
+        Namespace {
+            tag,
+            env,
+            extension,
+            obs_prefix,
+            config: Mutex::new(None),
+            counters: [const { AtomicU64::new(0) }; STATS],
+        }
     }
-    let dir = PathBuf::from(dir);
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!(
-            "mesh-cyclesim: {STORE_ENV}={} is unusable ({e}); trace store disabled",
-            dir.display()
-        );
-        return None;
+
+    /// This namespace's store (resolving its environment variable on first
+    /// use), or `None` when the namespace is disabled.
+    pub fn configured(&'static self) -> Option<Arc<Store>> {
+        let mut cell = self.config.lock().expect("store config poisoned");
+        if cell.is_none() {
+            *cell = Some(self.open_from_env());
+        }
+        cell.as_ref().expect("just resolved").clone()
     }
-    Some(StoreConfig {
-        dir,
-        budget: budget_from_env(),
-    })
+
+    fn open_from_env(&'static self) -> Option<Arc<Store>> {
+        let dir = std::env::var_os(self.env)?;
+        if dir.is_empty() {
+            return None;
+        }
+        Store::open(self, Path::new(&dir), budget_from_env())
+    }
+
+    /// Points this namespace at `dir` (created if needed) for the rest of
+    /// the process, overriding its environment variable; `None` disables
+    /// it.
+    pub fn configure(&'static self, dir: Option<&Path>) {
+        self.configure_budgeted(dir, budget_from_env());
+    }
+
+    /// [`configure`](Namespace::configure) with an explicit byte budget.
+    pub(crate) fn configure_budgeted(&'static self, dir: Option<&Path>, budget: u64) {
+        let resolved = dir.and_then(|d| Store::open(self, d, budget));
+        *self.config.lock().expect("store config poisoned") = Some(resolved);
+    }
+
+    /// Snapshot of this namespace's counters since process start. All
+    /// zeros when it has never been enabled.
+    pub fn stats(&self) -> StoreStats {
+        let get = |stat: Stat| self.counters[stat as usize].load(Ordering::Relaxed);
+        StoreStats {
+            hits: get(Stat::Hits),
+            misses: get(Stat::Misses),
+            publishes: get(Stat::Publishes),
+            quarantined: get(Stat::Quarantined),
+            gc_removed: get(Stat::GcRemoved),
+        }
+    }
+
+    fn bump(&self, stat: Stat) {
+        self.counters[stat as usize].fetch_add(1, Ordering::Relaxed);
+        if mesh_obs::enabled() {
+            mesh_obs::counter(&format!("{}.{}", self.obs_prefix, stat.name())).inc();
+        }
+    }
+}
+
+/// One configured store directory of one namespace.
+#[derive(Debug)]
+pub struct Store {
+    ns: &'static Namespace,
+    dir: PathBuf,
+    budget: u64,
+    /// Bytes this process published here since its last GC scan.
+    unscanned: AtomicU64,
 }
 
 fn budget_from_env() -> u64 {
@@ -134,89 +196,50 @@ fn budget_from_env() -> u64 {
     }
 }
 
-/// Points the persistent trace store at `dir` (created if needed) for the
-/// rest of the process, overriding [`STORE_ENV`]; `None` disables it. The
-/// byte budget is `budget` if given, else [`STORE_BYTES_ENV`] / default.
-/// Used by perfsuite's cold-vs-warm sections and tests; sweeps normally
-/// configure the store through the environment alone.
-pub fn set_store(dir: Option<&Path>, budget: Option<u64>) {
-    let resolved = match dir {
-        None => None,
-        Some(d) => {
-            if let Err(e) = fs::create_dir_all(d) {
-                eprintln!(
-                    "mesh-cyclesim: trace store {} is unusable ({e}); disabled",
-                    d.display()
-                );
-                None
-            } else {
-                Some(StoreConfig {
-                    dir: d.to_path_buf(),
-                    budget: budget.unwrap_or_else(budget_from_env),
-                })
-            }
-        }
-    };
-    *config_cell().lock().expect("store config poisoned") = Some(resolved);
-}
-
-/// Whether the persistent trace store is active (via [`STORE_ENV`] or
-/// [`set_store`]). The fabric parent uses this to decide whether pre-warming
-/// can benefit its worker processes at all.
-pub fn store_enabled() -> bool {
-    config().is_some()
-}
-
 // ---------------------------------------------------------------------------
 // Statistics.
 // ---------------------------------------------------------------------------
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static PUBLISHES: AtomicU64 = AtomicU64::new(0);
-static QUARANTINED: AtomicU64 = AtomicU64::new(0);
-static GC_REMOVED: AtomicU64 = AtomicU64::new(0);
-static CLAIM_WAITS: AtomicU64 = AtomicU64::new(0);
+#[derive(Clone, Copy)]
+enum Stat {
+    Hits,
+    Misses,
+    Publishes,
+    Quarantined,
+    GcRemoved,
+}
 
-fn bump(counter: &AtomicU64, obs_name: &str) {
-    counter.fetch_add(1, Ordering::Relaxed);
-    if mesh_obs::enabled() {
-        mesh_obs::counter(obs_name).inc();
+const STATS: usize = 5;
+
+impl Stat {
+    fn name(self) -> &'static str {
+        match self {
+            Stat::Hits => "hits",
+            Stat::Misses => "misses",
+            Stat::Publishes => "publishes",
+            Stat::Quarantined => "quarantined",
+            Stat::GcRemoved => "gc_removed",
+        }
     }
 }
 
-/// Counters of the persistent trace store since process start. All zeros
-/// when the store has never been enabled.
+/// Counters of one store namespace since process start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceStoreStats {
-    /// Trace loads served from a valid on-disk file.
+pub struct StoreStats {
+    /// Loads served from a valid on-disk entry.
     pub hits: u64,
-    /// Lookups that found no (valid) file and proceeded to compile.
+    /// Lookups that found no (valid) entry.
     pub misses: u64,
-    /// Freshly compiled traces published (written + renamed into place).
+    /// Entries written and renamed into place.
     pub publishes: u64,
-    /// Corrupt/truncated files renamed aside and recompiled.
+    /// Corrupt entries renamed aside.
     pub quarantined: u64,
-    /// Files evicted by the size-budget GC.
+    /// Entries evicted by the size-budget GC.
     pub gc_removed: u64,
-    /// Lookups that waited on (or broke) another process's compile claim.
-    pub claim_waits: u64,
-}
-
-/// Snapshot of the persistent trace store's counters.
-pub fn store_stats() -> TraceStoreStats {
-    TraceStoreStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        publishes: PUBLISHES.load(Ordering::Relaxed),
-        quarantined: QUARANTINED.load(Ordering::Relaxed),
-        gc_removed: GC_REMOVED.load(Ordering::Relaxed),
-        claim_waits: CLAIM_WAITS.load(Ordering::Relaxed),
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Binary format.
+// Format.
 // ---------------------------------------------------------------------------
 
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -228,74 +251,30 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn trace_path(dir: &Path, key: u128) -> PathBuf {
-    dir.join(format!("{key:032x}.trace"))
-}
-
-fn quarantine_path(dir: &Path, key: u128) -> PathBuf {
-    dir.join(format!("{key:032x}.quarantined"))
-}
-
-fn lock_path(dir: &Path, key: u128) -> PathBuf {
-    dir.join(format!("{key:032x}.lock"))
-}
-
-fn event_encode(event: StepEvent) -> (u8, u64) {
-    match event {
-        StepEvent::Miss => (0, 0),
-        StepEvent::Io => (1, 0),
-        StepEvent::Barrier(b) => (2, b as u64),
-        StepEvent::Finish => (3, 0),
-    }
-}
-
-fn event_decode(tag: u8, arg: u64) -> Option<StepEvent> {
-    match (tag, arg) {
-        (0, 0) => Some(StepEvent::Miss),
-        (1, 0) => Some(StepEvent::Io),
-        (2, b) => Some(StepEvent::Barrier(usize::try_from(b).ok()?)),
-        (3, 0) => Some(StepEvent::Finish),
-        _ => None,
-    }
-}
-
-pub(crate) fn encode_trace(key: u128, trace: &TaskTrace) -> Vec<u8> {
-    let steps = trace.steps();
-    let mut payload = Vec::with_capacity(steps * STEP_LEN);
-    for s in trace.iter_steps() {
-        payload.extend_from_slice(&s.busy.to_le_bytes());
-        payload.extend_from_slice(&s.idle.to_le_bytes());
-        payload.extend_from_slice(&s.hits.to_le_bytes());
-        let (tag, arg) = event_encode(s.event);
-        payload.push(tag);
-        payload.extend_from_slice(&arg.to_le_bytes());
-    }
+fn encode(tag: u32, key: u128, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
     out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(steps as u64).to_le_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
-/// Every way `bytes` can fail to be a valid store file for `key`. The
-/// distinction matters only for [`StoreLoad`] mapping: a `WrongVersion`
-/// file is a foreign-format miss (left in place), everything else is
-/// corruption (quarantined).
+/// Every way bytes can fail to be a valid entry: a `WrongVersion` file is
+/// a foreign-format miss (left in place), anything else is corruption
+/// (quarantined).
 #[derive(Debug, PartialEq, Eq)]
 enum DecodeError {
     WrongVersion,
     Corrupt,
 }
 
-#[cfg(test)]
-fn decode_trace(key: u128, bytes: &[u8]) -> Option<TaskTrace> {
-    try_decode(key, bytes).ok()
-}
-
-fn try_decode(key: u128, bytes: &[u8]) -> Result<TaskTrace, DecodeError> {
+/// Checks the header of `bytes` against namespace `tag` and `key` and
+/// returns the checksummed payload.
+fn payload(tag: u32, key: u128, bytes: &[u8]) -> Result<&[u8], DecodeError> {
     let header = bytes.get(..HEADER_LEN).ok_or(DecodeError::Corrupt)?;
     if header[..4] != MAGIC {
         return Err(DecodeError::Corrupt);
@@ -305,509 +284,441 @@ fn try_decode(key: u128, bytes: &[u8]) -> Result<TaskTrace, DecodeError> {
     if le4(&header[4..8]) != FORMAT_VERSION {
         return Err(DecodeError::WrongVersion);
     }
-    if u128::from_le_bytes(header[8..24].try_into().expect("16 bytes")) != key {
+    if le4(&header[8..12]) != tag
+        || u128::from_le_bytes(header[12..28].try_into().expect("16 bytes")) != key
+    {
         return Err(DecodeError::Corrupt);
     }
-    let steps = usize::try_from(le8(&header[24..32])).map_err(|_| DecodeError::Corrupt)?;
     let payload = &bytes[HEADER_LEN..];
-    if steps == 0 || payload.len() != steps.checked_mul(STEP_LEN).ok_or(DecodeError::Corrupt)? {
+    if le8(&header[28..36]) != payload.len() as u64 || fnv64(payload) != le8(&header[36..44]) {
         return Err(DecodeError::Corrupt);
     }
-    if fnv64(payload) != le8(&header[32..40]) {
-        return Err(DecodeError::Corrupt);
-    }
-    let mut out: Vec<TraceStep> = Vec::with_capacity(steps);
-    for rec in payload.chunks_exact(STEP_LEN) {
-        let event = event_decode(rec[24], le8(&rec[25..33])).ok_or(DecodeError::Corrupt)?;
-        out.push(TraceStep {
-            busy: le8(&rec[0..8]),
-            idle: le8(&rec[8..16]),
-            hits: le8(&rec[16..24]),
-            event,
-        });
-    }
-    // Finish is always the final step and never an interior one — the
-    // compiler stops at it, and the engines' readers rely on it.
-    let finishes = out.iter().filter(|s| s.event == StepEvent::Finish).count();
-    if finishes != 1 || out.last().map(|s| s.event) != Some(StepEvent::Finish) {
-        return Err(DecodeError::Corrupt);
-    }
-    Ok(TaskTrace::from_steps(out))
+    Ok(payload)
 }
 
 // ---------------------------------------------------------------------------
-// Load / publish / claim.
+// Load / publish / GC.
 // ---------------------------------------------------------------------------
 
-enum StoreLoad {
-    Hit(Arc<TaskTrace>),
-    /// A valid stored trace, but over the caller's step cap: same verdict a
-    /// local compile would reach, without paying for one.
-    TooLarge,
-    Miss,
-}
+/// Disambiguates the temp files of concurrent publishes within a process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn load_from(cfg: &StoreConfig, key: u128, max_steps: usize) -> StoreLoad {
-    let path = trace_path(&cfg.dir, key);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(_) => return StoreLoad::Miss,
-    };
-    let _span = mesh_obs::span("cyclesim.trace_store.load_ns");
-    match try_decode(key, &bytes) {
-        Ok(trace) => {
-            if trace.steps() > max_steps {
-                StoreLoad::TooLarge
-            } else {
-                StoreLoad::Hit(Arc::new(trace))
-            }
-        }
-        Err(DecodeError::WrongVersion) => StoreLoad::Miss,
-        Err(DecodeError::Corrupt) => {
-            // Move the bad file aside (keeping it for post-mortems) so the
-            // recompile's publication isn't blocked by first-writer-wins.
-            if fs::rename(&path, quarantine_path(&cfg.dir, key)).is_err() {
-                let _ = fs::remove_file(&path);
-            }
-            bump(&QUARANTINED, "cyclesim.trace_store.quarantined");
-            StoreLoad::Miss
-        }
-    }
-}
-
-fn publish(cfg: &StoreConfig, key: u128, trace: &TaskTrace) {
-    let dest = trace_path(&cfg.dir, key);
-    if dest.exists() {
-        return; // First writer already won with identical bytes.
-    }
-    let bytes = encode_trace(key, trace);
-    let tmp = cfg
-        .dir
-        .join(format!(".tmp-{}-{key:032x}", std::process::id()));
-    let written = (|| -> std::io::Result<()> {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.flush()
-    })();
-    if written.is_err() || dest.exists() || fs::rename(&tmp, &dest).is_err() {
-        let _ = fs::remove_file(&tmp);
-        return;
-    }
-    bump(&PUBLISHES, "cyclesim.trace_store.publishes");
-    gc(cfg, key);
-}
-
-/// Evicts oldest-modified `.trace` files (never the just-published `keep`)
-/// until the store fits its byte budget, and sweeps stale temp/lock files
-/// left behind by dead processes.
-fn gc(cfg: &StoreConfig, keep: u128) {
-    let Ok(entries) = fs::read_dir(&cfg.dir) else {
-        return;
-    };
-    let now = SystemTime::now();
-    let mut traces: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
-    let mut total: u64 = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Ok(meta) = entry.metadata() else { continue };
-        let mtime = meta.modified().unwrap_or(now);
-        let age = now.duration_since(mtime).unwrap_or_default();
-        if name.starts_with(".tmp-") || name.ends_with(".lock") {
-            // Live temp/lock files are seconds old; anything older belongs
-            // to a process that died mid-publish or mid-claim.
-            if age > Duration::from_secs(60) {
-                let _ = fs::remove_file(&path);
-            }
-        } else if name.ends_with(".trace") {
-            total += meta.len();
-            traces.push((path, meta.len(), mtime));
-        }
-    }
-    if total <= cfg.budget {
-        return;
-    }
-    let keep_path = trace_path(&cfg.dir, keep);
-    traces.sort_by_key(|(_, _, mtime)| *mtime);
-    for (path, len, _) in traces {
-        if total <= cfg.budget {
-            break;
-        }
-        if path == keep_path {
-            continue;
-        }
-        if fs::remove_file(&path).is_ok() {
-            total -= len;
-            bump(&GC_REMOVED, "cyclesim.trace_store.gc_removed");
-        }
-    }
-}
-
-/// Whether a published file for `key` exists in the configured store.
-/// Existence only — a corrupt file is quarantined by its first actual
-/// reader — so a pre-warming parent can skip already-published traces
-/// without paying to load bytes its worker processes will read themselves.
-/// `false` when no store is configured.
-pub(crate) fn is_published(key: u128) -> bool {
-    match config() {
-        Some(cfg) => trace_path(&cfg.dir, key).exists(),
-        None => false,
-    }
-}
-
-/// The store-aware compile path: returns the trace for `key` from the
-/// on-disk store if valid, else elects one machine-wide compiler via a
-/// claim lock, compiles with `compile_fn`, publishes the result and returns
-/// it. With the store disabled this is exactly `compile_fn()`.
-///
-/// `compile_fn` returning `None` (step cap exceeded) is propagated without
-/// publishing; every caller then negative-caches the verdict in memory.
-pub(crate) fn get_or_compile(
-    key: u128,
-    max_steps: usize,
-    compile_fn: &(dyn Fn() -> Option<Arc<TaskTrace>> + Sync),
-) -> Option<Arc<TaskTrace>> {
-    let Some(cfg) = config() else {
-        return compile_fn();
-    };
-    match load_from(&cfg, key, max_steps) {
-        StoreLoad::Hit(t) => {
-            bump(&HITS, "cyclesim.trace_store.hits");
-            return Some(t);
-        }
-        StoreLoad::TooLarge => {
-            bump(&HITS, "cyclesim.trace_store.hits");
+impl Store {
+    /// Opens (creating if needed) a store directory for namespace `ns`.
+    /// `None`, with a warning on stderr, when the directory is unusable.
+    fn open(ns: &'static Namespace, dir: &Path, budget: u64) -> Option<Arc<Store>> {
+        if let Err(e) = fs::create_dir_all(dir) {
+            eprintln!(
+                "mesh-cyclesim: {} directory {} is unusable ({e}); disabled",
+                ns.env,
+                dir.display()
+            );
             return None;
         }
-        StoreLoad::Miss => bump(&MISSES, "cyclesim.trace_store.misses"),
+        Some(Arc::new(Store {
+            ns,
+            dir: dir.to_path_buf(),
+            budget,
+            // A full slice pending: this process's first publish scans, so
+            // even a short-lived process enforces the budget and sweeps the
+            // temp files of dead publishers.
+            unscanned: AtomicU64::new(budget / GC_SLICES),
+        }))
     }
-    claim_and_compile(&cfg, key, max_steps, compile_fn)
-}
 
-fn compile_and_publish(
-    cfg: &StoreConfig,
-    key: u128,
-    compile_fn: &(dyn Fn() -> Option<Arc<TaskTrace>> + Sync),
-) -> Option<Arc<TaskTrace>> {
-    let trace = compile_fn();
-    if let Some(t) = &trace {
-        publish(cfg, key, t);
+    fn entry_path(&self, key: u128) -> PathBuf {
+        self.dir.join(format!("{key:032x}.{}", self.ns.extension))
     }
-    trace
-}
 
-fn claim_and_compile(
-    cfg: &StoreConfig,
-    key: u128,
-    max_steps: usize,
-    compile_fn: &(dyn Fn() -> Option<Arc<TaskTrace>> + Sync),
-) -> Option<Arc<TaskTrace>> {
-    let lock = lock_path(&cfg.dir, key);
-    match OpenOptions::new().write(true).create_new(true).open(&lock) {
-        Ok(mut claim) => {
-            let _ = write!(claim, "{}", std::process::id());
-            // Re-check under the claim: the file may have been published
-            // between our miss and winning the lock (the loser-turned-winner
-            // race after a previous holder released).
-            let result = match load_from(cfg, key, max_steps) {
-                StoreLoad::Hit(t) => {
-                    bump(&HITS, "cyclesim.trace_store.hits");
-                    Some(t)
-                }
-                StoreLoad::TooLarge => None,
-                StoreLoad::Miss => compile_and_publish(cfg, key, compile_fn),
-            };
-            let _ = fs::remove_file(&lock);
-            result
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-            bump(&CLAIM_WAITS, "cyclesim.trace_store.claim_waits");
-            let deadline = Instant::now() + CLAIM_DEADLINE;
-            loop {
-                std::thread::sleep(CLAIM_POLL);
-                match load_from(cfg, key, max_steps) {
-                    StoreLoad::Hit(t) => {
-                        bump(&HITS, "cyclesim.trace_store.hits");
-                        return Some(t);
+    fn quarantine_path(&self, key: u128) -> PathBuf {
+        self.dir.join(format!("{key:032x}.quarantined"))
+    }
+
+    /// Whether an entry file for `key` exists. Existence only — a corrupt
+    /// file is quarantined by its first actual reader — so a pre-warming
+    /// parent can skip published entries without reading them.
+    pub(crate) fn contains(&self, key: u128) -> bool {
+        self.entry_path(key).exists()
+    }
+
+    /// Loads the entry for `key`, handing its checked payload to `decode`.
+    /// Returns `None` on a miss; an entry that fails its checks, or whose
+    /// payload `decode` rejects, is quarantined first.
+    pub fn load<T>(&self, key: u128, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+        let path = self.entry_path(key);
+        let Ok(bytes) = fs::read(&path) else {
+            self.ns.bump(Stat::Misses);
+            return None;
+        };
+        let _span =
+            mesh_obs::enabled().then(|| mesh_obs::span(&format!("{}.load_ns", self.ns.obs_prefix)));
+        let decoded =
+            payload(self.ns.tag, key, &bytes).and_then(|p| decode(p).ok_or(DecodeError::Corrupt));
+        match decoded {
+            Ok(value) => {
+                self.ns.bump(Stat::Hits);
+                Some(value)
+            }
+            Err(e) => {
+                if e == DecodeError::Corrupt {
+                    // Keep the bad file for post-mortems, out of the lookup
+                    // path.
+                    if fs::rename(&path, self.quarantine_path(key)).is_err() {
+                        let _ = fs::remove_file(&path);
                     }
-                    StoreLoad::TooLarge => return None,
-                    StoreLoad::Miss => {}
+                    self.ns.bump(Stat::Quarantined);
                 }
-                let stale = fs::metadata(&lock)
-                    .and_then(|m| m.modified())
-                    .map(|t| SystemTime::now().duration_since(t).unwrap_or_default() > CLAIM_STALE)
-                    // Lock gone but nothing published: the holder compiled a
-                    // too-large trace, failed, or died — stop waiting.
-                    .unwrap_or(true);
-                if stale || Instant::now() >= deadline {
-                    let _ = fs::remove_file(&lock);
-                    return compile_and_publish(cfg, key, compile_fn);
-                }
+                self.ns.bump(Stat::Misses);
+                None
             }
         }
-        // Store directory not writable (permissions, full disk): degrade to
-        // a plain local compile; publication is an optimization, never a
-        // correctness requirement.
-        Err(_) => compile_fn(),
+    }
+
+    /// Publishes `payload` under `key` (write to a temp file, rename into
+    /// place). Returns whether the entry was published; failure (full
+    /// disk, permissions) is never an error — publication is an
+    /// optimization, not a correctness requirement.
+    pub fn publish(&self, key: u128, payload: &[u8]) -> bool {
+        let bytes = encode(self.ns.tag, key, payload);
+        let tmp = self.dir.join(format!(
+            ".tmp-{}-{}-{key:032x}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let written = (|| -> std::io::Result<()> {
+            let mut f = fs::File::create(&tmp)?;
+            f.write_all(&bytes)?;
+            f.flush()
+        })();
+        if written.is_err() || fs::rename(&tmp, self.entry_path(key)).is_err() {
+            let _ = fs::remove_file(&tmp);
+            return false;
+        }
+        self.ns.bump(Stat::Publishes);
+        let len = bytes.len() as u64;
+        let pending = self.unscanned.fetch_add(len, Ordering::Relaxed) + len;
+        if pending >= self.budget / GC_SLICES {
+            self.unscanned.store(0, Ordering::Relaxed);
+            self.gc(key);
+        }
+        true
+    }
+
+    /// Evicts oldest-modified entries of this namespace (never the
+    /// just-published `keep`) until the directory fits its byte budget,
+    /// and sweeps temp files left behind by dead processes.
+    fn gc(&self, keep: u128) {
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return;
+        };
+        let suffix = format!(".{}", self.ns.extension);
+        let now = SystemTime::now();
+        let mut files: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
+        let mut total: u64 = 0;
+        for entry in entries.flatten() {
+            let path = entry.path();
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let Ok(meta) = entry.metadata() else { continue };
+            let mtime = meta.modified().unwrap_or(now);
+            if name.starts_with(".tmp-") {
+                if now.duration_since(mtime).unwrap_or_default() > STALE_TMP {
+                    let _ = fs::remove_file(&path);
+                }
+            } else if name.ends_with(&suffix) {
+                total += meta.len();
+                files.push((path, meta.len(), mtime));
+            }
+        }
+        if total <= self.budget {
+            return;
+        }
+        let keep_path = self.entry_path(keep);
+        files.sort_by_key(|(_, _, mtime)| *mtime);
+        for (path, len, _) in files {
+            if total <= self.budget {
+                break;
+            }
+            if path == keep_path {
+                continue;
+            }
+            if fs::remove_file(&path).is_ok() {
+                total -= len;
+                self.ns.bump(Stat::GcRemoved);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cursor::Pacing;
-    use crate::trace::compile;
-    use mesh_arch::{CacheConfig, ProcConfig};
-    use mesh_workloads::{MemPattern, Segment};
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
-    fn temp_store(tag: &str) -> PathBuf {
+    // Two namespaces shaped like the workspace's traces and results.
+    static TRACES: Namespace = Namespace::new(1, "STORE_TEST_TRACES", "trace", "test.traces");
+    static RESULTS: Namespace = Namespace::new(2, "STORE_TEST_RESULTS", "res", "test.results");
+
+    fn temp_store(ns: &'static Namespace, tag: &str) -> Arc<Store> {
         let dir =
             std::env::temp_dir().join(format!("mesh-store-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create temp store");
-        dir
+        Store::open(ns, &dir, DEFAULT_STORE_BYTES).expect("create temp store")
     }
 
-    fn cfg_at(dir: &Path) -> StoreConfig {
-        StoreConfig {
-            dir: dir.to_path_buf(),
-            budget: DEFAULT_STORE_BYTES,
-        }
+    fn bytes_of(p: &[u8]) -> Option<Vec<u8>> {
+        Some(p.to_vec())
     }
 
-    fn sample_trace(refs: u64) -> TaskTrace {
-        let segments = vec![Segment::work(refs * 3).with_pattern(MemPattern::Strided {
-            base: 0,
-            stride: 1024,
-            count: refs,
-        })];
-        let proc = ProcConfig::new(CacheConfig::direct_mapped(1024, 32).unwrap());
-        compile(&segments, proc, Pacing::Poisson(7), usize::MAX).unwrap()
+    fn both() -> [&'static Namespace; 2] {
+        [&TRACES, &RESULTS]
     }
 
-    fn arb_step() -> impl Strategy<Value = TraceStep> {
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            prop_oneof![
-                Just(StepEvent::Miss),
-                Just(StepEvent::Io),
-                (0usize..1 << 40).prop_map(StepEvent::Barrier),
-            ],
-        )
-            .prop_map(|(busy, idle, hits, event)| TraceStep {
-                busy,
-                idle,
-                hits,
-                event,
-            })
+    fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0u32..256).prop_map(|b| b as u8), 0..256)
     }
 
-    fn arb_trace() -> impl Strategy<Value = TaskTrace> {
-        prop::collection::vec(arb_step(), 0..64).prop_map(|mut steps| {
-            steps.push(TraceStep {
-                busy: 0,
-                idle: 0,
-                hits: 0,
-                event: StepEvent::Finish,
-            });
-            TaskTrace::from_steps(steps)
-        })
+    fn arb_tag() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(TRACES.tag), Just(RESULTS.tag)]
     }
 
     proptest! {
-        /// Every field of every chunk survives encode → decode unchanged.
+        /// The payload survives encode → check unchanged, in both
+        /// namespaces.
         #[test]
-        fn round_trip_preserves_every_field(trace in arb_trace(), hi in any::<u64>(), lo in any::<u64>()) {
+        fn round_trip_preserves_the_payload(
+            tag in arb_tag(),
+            body in arb_body(),
+            hi in any::<u64>(),
+            lo in any::<u64>(),
+        ) {
             let key = (u128::from(hi) << 64) | u128::from(lo);
-            let bytes = encode_trace(key, &trace);
-            let back = decode_trace(key, &bytes).expect("clean bytes decode");
-            prop_assert_eq!(trace, back);
+            let bytes = encode(tag, key, &body);
+            prop_assert_eq!(payload(tag, key, &bytes), Ok(&body[..]));
         }
 
-        /// Truncation at any point yields a clean decode failure — never a
-        /// panic, never wrong data.
+        /// Truncation at any point is corruption — never a panic, never a
+        /// payload.
         #[test]
-        fn truncation_is_detected(trace in arb_trace(), key in any::<u64>(), cut in 0.0f64..1.0) {
+        fn truncation_is_detected(
+            tag in arb_tag(),
+            body in arb_body(),
+            key in any::<u64>(),
+            cut in 0.0f64..1.0,
+        ) {
             let key = u128::from(key);
-            let bytes = encode_trace(key, &trace);
+            let bytes = encode(tag, key, &body);
             let cut = ((bytes.len() as f64 * cut) as usize).min(bytes.len() - 1);
-            prop_assert_eq!(decode_trace(key, &bytes[..cut]), None);
+            prop_assert!(payload(tag, key, &bytes[..cut]).is_err());
         }
 
-        /// A flipped bit anywhere either fails to decode or (in the
-        /// astronomically unlikely event of an FNV collision) still decodes
-        /// to the original data — wrong data is never returned.
+        /// A flipped bit anywhere either fails the checks or (in the
+        /// astronomically unlikely event of an FNV collision) still yields
+        /// the original payload — wrong data is never returned.
         #[test]
         fn bit_flips_never_yield_wrong_data(
-            trace in arb_trace(),
+            tag in arb_tag(),
+            body in arb_body(),
             key in any::<u64>(),
             pos in 0.0f64..1.0,
             bit in 0u32..8,
         ) {
             let key = u128::from(key);
-            let mut bytes = encode_trace(key, &trace);
+            let mut bytes = encode(tag, key, &body);
             let pos = ((bytes.len() as f64 * pos) as usize).min(bytes.len() - 1);
             bytes[pos] ^= 1u8 << bit;
-            match decode_trace(key, &bytes) {
-                None => {}
-                Some(back) => prop_assert_eq!(trace, back),
+            if let Ok(p) = payload(tag, key, &bytes) {
+                prop_assert_eq!(p, &body[..]);
             }
         }
     }
 
     #[test]
-    fn decode_rejects_foreign_key_magic_and_version() {
-        let trace = sample_trace(5);
-        let bytes = encode_trace(42, &trace);
-        assert!(decode_trace(42, &bytes).is_some());
-        assert_eq!(decode_trace(43, &bytes), None, "foreign key");
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert_eq!(decode_trace(42, &bad_magic), None);
-        let mut bad_version = bytes.clone();
-        bad_version[4] ^= 0xFF;
-        assert_eq!(try_decode(42, &bad_version), Err(DecodeError::WrongVersion));
-    }
-
-    #[test]
-    fn corrupt_file_is_quarantined_and_recompiled() {
-        let dir = temp_store("quarantine");
-        let cfg = cfg_at(&dir);
-        let trace = sample_trace(8);
-        publish(&cfg, 99, &trace);
-        let path = trace_path(&dir, 99);
-        assert!(path.exists());
-        // Torn write: keep only the first half of the file.
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-
-        let before = store_stats().quarantined;
-        let compiles = AtomicUsize::new(0);
-        let out = get_or_compile_in(&cfg, 99, usize::MAX, &|| {
-            compiles.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::new(sample_trace(8)))
-        });
-        assert_eq!(*out.unwrap(), trace, "recompiled data is correct");
-        assert_eq!(compiles.load(Ordering::Relaxed), 1);
-        assert_eq!(store_stats().quarantined, before + 1);
-        assert!(quarantine_path(&dir, 99).exists(), "bad file moved aside");
-        // The recompile re-published a valid file.
-        assert_eq!(*decode_and_load(&cfg, 99).unwrap(), trace);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Store round-trip through real publish/load against a directory,
-    /// without touching the process-global configuration (tests run in
-    /// parallel within one process).
-    fn get_or_compile_in(
-        cfg: &StoreConfig,
-        key: u128,
-        max_steps: usize,
-        compile_fn: &(dyn Fn() -> Option<Arc<TaskTrace>> + Sync),
-    ) -> Option<Arc<TaskTrace>> {
-        match load_from(cfg, key, max_steps) {
-            StoreLoad::Hit(t) => Some(t),
-            StoreLoad::TooLarge => None,
-            StoreLoad::Miss => claim_and_compile(cfg, key, max_steps, compile_fn),
-        }
-    }
-
-    fn decode_and_load(cfg: &StoreConfig, key: u128) -> Option<Arc<TaskTrace>> {
-        match load_from(cfg, key, usize::MAX) {
-            StoreLoad::Hit(t) => Some(t),
-            _ => None,
+    fn checks_reject_foreign_key_namespace_magic_and_version() {
+        for (tag, other) in [(TRACES.tag, RESULTS.tag), (RESULTS.tag, TRACES.tag)] {
+            let bytes = encode(tag, 42, b"payload");
+            assert_eq!(payload(tag, 42, &bytes), Ok(&b"payload"[..]));
+            assert_eq!(payload(tag, 43, &bytes), Err(DecodeError::Corrupt));
+            assert_eq!(payload(other, 42, &bytes), Err(DecodeError::Corrupt));
+            let mut bad_magic = bytes.clone();
+            bad_magic[0] = b'X';
+            assert_eq!(payload(tag, 42, &bad_magic), Err(DecodeError::Corrupt));
+            let mut bad_version = bytes.clone();
+            bad_version[4] ^= 0xFF;
+            assert_eq!(
+                payload(tag, 42, &bad_version),
+                Err(DecodeError::WrongVersion)
+            );
         }
     }
 
     #[test]
-    fn concurrent_claims_compile_exactly_once() {
-        let dir = temp_store("claims");
-        let cfg = cfg_at(&dir);
-        let reference = sample_trace(12);
-        let compiles = AtomicUsize::new(0);
-        let compile_slow = || {
-            compiles.fetch_add(1, Ordering::Relaxed);
-            // Hold the claim long enough that every racer sees it.
-            std::thread::sleep(Duration::from_millis(50));
-            Some(Arc::new(sample_trace(12)))
-        };
-        let results: Vec<Option<Arc<TaskTrace>>> = std::thread::scope(|s| {
+    fn wrong_version_reads_as_a_miss_and_is_replaced() {
+        for ns in both() {
+            let store = temp_store(ns, &format!("version-{}", ns.extension));
+            let mut bytes = encode(ns.tag, 5, b"old");
+            bytes[4..8].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+            fs::write(store.entry_path(5), &bytes).unwrap();
+            assert_eq!(store.load(5, bytes_of), None, "other versions miss");
+            assert!(store.entry_path(5).exists(), "and are left in place");
+            assert!(!store.quarantine_path(5).exists(), "not quarantined");
+            assert!(store.publish(5, b"new"));
+            assert_eq!(store.load(5, bytes_of), Some(b"new".to_vec()));
+            let _ = fs::remove_dir_all(&store.dir);
+        }
+    }
+
+    #[test]
+    fn corrupt_entries_are_quarantined() {
+        for ns in both() {
+            let store = temp_store(ns, &format!("quarantine-{}", ns.extension));
+            assert!(store.publish(99, b"0123456789abcdef"));
+            let path = store.entry_path(99);
+            // Torn write: keep only the first half of the file.
+            let bytes = fs::read(&path).unwrap();
+            fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+            let before = ns.stats().quarantined;
+            assert_eq!(store.load(99, bytes_of), None, "torn entry misses");
+            assert!(ns.stats().quarantined > before);
+            assert!(store.quarantine_path(99).exists(), "bad file moved aside");
+            assert!(!path.exists());
+            // A payload the caller's decoder rejects is corruption too.
+            assert!(store.publish(98, b"not a number"));
+            let parsed = store.load(98, |p| std::str::from_utf8(p).ok()?.parse::<u64>().ok());
+            assert_eq!(parsed, None);
+            assert!(store.quarantine_path(98).exists());
+            // Recomputing re-publishes a valid entry.
+            assert!(store.publish(99, b"0123456789abcdef"));
+            assert_eq!(store.load(99, bytes_of), Some(b"0123456789abcdef".to_vec()));
+            let _ = fs::remove_dir_all(&store.dir);
+        }
+    }
+
+    #[test]
+    fn racing_publishers_leave_one_valid_entry() {
+        let store = temp_store(&TRACES, "race");
+        let computes = AtomicUsize::new(0);
+        let body: Vec<u8> = (0..4096u32).flat_map(|i| i.to_le_bytes()).collect();
+        let barrier = std::sync::Barrier::new(8);
+        let results: Vec<Vec<u8>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| get_or_compile_in(&cfg, 7, usize::MAX, &compile_slow)))
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        if let Some(hit) = store.load(7, bytes_of) {
+                            return hit;
+                        }
+                        computes.fetch_add(1, Ordering::Relaxed);
+                        let value = body.clone();
+                        store.publish(7, &value);
+                        value
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(
-            compiles.load(Ordering::Relaxed),
-            1,
-            "exactly one racer compiles"
-        );
-        for r in results {
-            assert_eq!(*r.unwrap(), reference, "every racer gets identical data");
+        assert!(computes.load(Ordering::Relaxed) >= 1);
+        for r in &results {
+            assert_eq!(r, &body, "every racer gets identical data");
         }
-        assert!(!lock_path(&dir, 7).exists(), "claim released");
-        let _ = fs::remove_dir_all(&dir);
+        let names: Vec<String> = fs::read_dir(&store.dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names,
+            vec![format!("{:032x}.trace", 7)],
+            "one entry, no temp files"
+        );
+        assert_eq!(store.load(7, bytes_of), Some(body));
+        let _ = fs::remove_dir_all(&store.dir);
     }
 
     #[test]
     fn gc_enforces_byte_budget_oldest_first() {
-        let dir = temp_store("gc");
-        let trace = sample_trace(6);
-        let bytes_per = encode_trace(0, &trace).len() as u64;
-        let mut cfg = cfg_at(&dir);
-        cfg.budget = u64::MAX;
+        let dir = std::env::temp_dir().join(format!("mesh-store-test-{}-gc", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let body = [0u8; 64];
+        let bytes_per = encode(TRACES.tag, 0, &body).len() as u64;
+        let roomy = Store::open(&TRACES, &dir, u64::MAX).unwrap();
         for key in 0..4u128 {
-            publish(&cfg, key, &trace);
+            roomy.publish(key, &body);
             // Distinct mtimes so eviction order is deterministic.
             std::thread::sleep(Duration::from_millis(20));
         }
-        // Budget for two files: the two oldest go.
-        cfg.budget = bytes_per * 2;
-        publish(&cfg, 4, &trace);
-        std::thread::sleep(Duration::from_millis(20));
-        let survivors: Vec<bool> = (0..5u128).map(|k| trace_path(&dir, k).exists()).collect();
+        // A result entry shares the directory but not the budget.
+        let results = Store::open(&RESULTS, &dir, u64::MAX).unwrap();
+        results.publish(0, &body);
+        // Budget for two files: the next publish scans, the oldest go.
+        let tight = Store::open(&TRACES, &dir, bytes_per * 2).unwrap();
+        tight.publish(4, &body);
+        let survivors: Vec<bool> = (0..5u128).map(|k| tight.contains(k)).collect();
         assert_eq!(
             survivors,
             vec![false, false, false, true, true],
             "oldest files evicted first, newest and just-published kept"
         );
+        assert!(results.contains(0), "other namespaces are not counted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn entry_bytes(dir: &Path, extension: &str) -> u64 {
+        fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(extension))
+            .map(|e| e.metadata().unwrap().len())
+            .sum()
+    }
+
+    #[test]
+    fn short_lived_processes_keep_the_directory_within_budget() {
+        let dir = temp_store(&RESULTS, "gc-short").dir.clone();
+        let body = [0u8; 64];
+        let bytes_per = encode(RESULTS.tag, 0, &body).len() as u64;
+        // Each entry is well under a GC slice of this budget.
+        let budget = bytes_per * (GC_SLICES + 4);
+        // A temp file a dead process left behind.
+        let dead = dir.join(".tmp-dead");
+        let f = fs::File::create(&dead).unwrap();
+        f.set_modified(SystemTime::now() - 2 * STALE_TMP).unwrap();
+        drop(f);
+        // One fresh store per "process", each publishing a single entry.
+        for key in 0..3 * (GC_SLICES as u128) {
+            let store = Store::open(&RESULTS, &dir, budget).unwrap();
+            store.publish(key, &body);
+            assert!(!dead.exists(), "the first publish swept the dead temp file");
+            assert!(
+                entry_bytes(&dir, ".res") <= budget,
+                "after {} short-lived publishers the directory holds {} > {budget} bytes",
+                key + 1,
+                entry_bytes(&dir, ".res")
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn stale_lock_is_broken() {
-        let dir = temp_store("stale");
-        let cfg = cfg_at(&dir);
-        // A lock from a dead process, backdated past the stale threshold by
-        // waiting is too slow — instead exercise the deadline-less path:
-        // create the lock, then rely on CLAIM_STALE being measured from
-        // mtime. Backdating mtime needs utime (unavailable without unsafe
-        // deps), so use the lock-vanishes path: remove it from another
-        // thread shortly after the waiter starts.
-        fs::write(lock_path(&dir, 3), b"dead").unwrap();
-        let compiles = AtomicUsize::new(0);
-        let out = std::thread::scope(|s| {
-            let waiter = s.spawn(|| {
-                get_or_compile_in(&cfg, 3, usize::MAX, &|| {
-                    compiles.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::new(sample_trace(4)))
-                })
-            });
-            std::thread::sleep(Duration::from_millis(30));
-            let _ = fs::remove_file(lock_path(&dir, 3));
-            waiter.join().unwrap()
-        });
-        assert!(out.is_some(), "waiter degraded to a local compile");
-        assert_eq!(compiles.load(Ordering::Relaxed), 1);
-        assert!(
-            trace_path(&dir, 3).exists(),
-            "local compile still published for others"
-        );
+    fn gc_scans_again_only_after_a_slice_of_the_budget() {
+        let dir = temp_store(&RESULTS, "gc-slice").dir.clone();
+        let body = [0u8; 64];
+        let bytes_per = encode(RESULTS.tag, 0, &body).len() as u64;
+        // After the first publish, a scan is due once four entries' worth
+        // of bytes are published.
+        let store = Store::open(&RESULTS, &dir, bytes_per * GC_SLICES * 4).unwrap();
+        store.publish(0, &body);
+        // A temp file a dead process left behind: only a scan removes it.
+        let dead = dir.join(".tmp-dead");
+        let f = fs::File::create(&dead).unwrap();
+        f.set_modified(SystemTime::now() - 2 * STALE_TMP).unwrap();
+        drop(f);
+        for key in 1..4u128 {
+            store.publish(key, &body);
+        }
+        assert!(dead.exists(), "no rescan before a slice of the budget");
+        store.publish(4, &body);
+        assert!(!dead.exists(), "the fourth publish after the first scanned");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -31,10 +31,10 @@
 //!   (they vary cache size and processor count, not the programs) compile
 //!   each distinct trace exactly once per process.
 //!
-//! Memory stays bounded: a single task's trace is capped at
-//! [`MAX_STEPS_ENV`] steps (beyond it the engines fall back to the
-//! on-the-fly cursor and the cap is negative-cached), and the cache evicts
-//! oldest-first beyond the [`CACHE_STEPS_ENV`] resident-step budget.
+//! Memory stays bounded: a single task's trace is capped at 4 Mi steps
+//! (beyond it the engines fall back to the on-the-fly cursor and the cap is
+//! negative-cached), and the cache evicts oldest-first beyond 8 Mi resident
+//! steps.
 //!
 //! Exactness is proven the same way the event-skipping engine's is:
 //! `tests/differential.rs` pins trace-fed runs of both engines to
@@ -43,6 +43,7 @@
 //! pacing/arbitration/barrier/I/O/error space.
 
 use crate::cursor::{derived_pacing, Item, Pacing, TaskCursor};
+use crate::store::{Namespace, StoreStats};
 use mesh_arch::{Cache, MachineConfig, ProcConfig};
 use mesh_workloads::{Segment, Workload};
 use std::collections::HashMap;
@@ -51,29 +52,19 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Environment variable selecting the default feed for
-/// [`SimOptions::default`](crate::SimOptions): set to `off`, `0` or
-/// `cursor` to disable trace compilation process-wide (the on-the-fly
-/// cursor path). Read once per process.
-pub const TRACE_ENV: &str = "MESH_CYCLESIM_TRACE";
-
-/// Environment variable capping one task's compiled trace, in steps
-/// (default 4,194,304 ≈ 128 MiB). Tasks beyond the cap fall back to the
-/// on-the-fly cursor; the verdict is negative-cached so the compile cost is
-/// paid once.
-pub const MAX_STEPS_ENV: &str = "MESH_TRACE_MAX_STEPS";
-
-/// Environment variable bounding the cross-sweep cache's resident steps
-/// across all entries (default 8,388,608 ≈ 256 MiB). Oldest entries are
-/// evicted first when an insert would exceed the budget.
-pub const CACHE_STEPS_ENV: &str = "MESH_TRACE_CACHE_STEPS";
-
 /// Worker-count variable shared with `mesh_bench::sweep` (this crate cannot
 /// depend on the bench harness, so the name is duplicated by convention).
 const JOBS_ENV: &str = "MESH_BENCH_JOBS";
 
-const DEFAULT_MAX_STEPS: usize = 4 << 20;
-const DEFAULT_CACHE_STEPS: usize = 8 << 20;
+/// Cap on one task's compiled trace, in steps (≈ 128 MiB). Tasks beyond it
+/// fall back to the on-the-fly cursor; the verdict is negative-cached so
+/// the compile cost is paid once.
+const MAX_STEPS: usize = 4 << 20;
+
+/// Budget of the cross-sweep cache's resident steps across all entries
+/// (≈ 256 MiB). Oldest entries are evicted first when an insert would
+/// exceed it.
+const CACHE_STEPS: usize = 8 << 20;
 
 /// Steps per storage chunk: large enough that chunk-boundary checks vanish
 /// in the consume loop, small enough that a trace never over-allocates by
@@ -91,18 +82,6 @@ pub enum TraceMode {
     /// during the run — the original path, kept as the differential
     /// reference for the compiled feed.
     OnTheFly,
-}
-
-impl TraceMode {
-    /// The process-wide default mode: [`TraceMode::Compiled`] unless
-    /// [`TRACE_ENV`] disables it. Read once and cached.
-    pub fn from_env() -> TraceMode {
-        static MODE: OnceLock<TraceMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var(TRACE_ENV) {
-            Ok(v) if matches!(v.trim(), "off" | "0" | "cursor") => TraceMode::OnTheFly,
-            _ => TraceMode::Compiled,
-        })
-    }
 }
 
 /// The shared-state event a macro-step runs into — what the processor does
@@ -441,19 +420,6 @@ fn global() -> MutexGuard<'static, TraceCache> {
         .expect("trace cache poisoned")
 }
 
-fn env_steps(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("mesh-cyclesim: ignoring invalid {var}={v:?} (want a positive integer)");
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 /// Compile worker count: `MESH_BENCH_JOBS` if set to a positive integer,
 /// else available parallelism — the sweep engine's convention.
 fn jobs_from_env() -> usize {
@@ -527,13 +493,11 @@ pub(crate) fn compiled_for(
         return out;
     }
 
-    let max_steps = env_steps(MAX_STEPS_ENV, DEFAULT_MAX_STEPS);
     let compiled = {
         let _span = mesh_obs::span("cyclesim.compile_ns");
-        compile_parallel(&missing, &keys, workload, machine, pacing, max_steps)
+        compile_parallel(&missing, &keys, workload, machine, pacing)
     };
 
-    let budget = env_steps(CACHE_STEPS_ENV, DEFAULT_CACHE_STEPS);
     let mut cache = global();
     let evictions_before = cache.evictions;
     for (&i, trace) in missing.iter().zip(&compiled) {
@@ -545,7 +509,7 @@ pub(crate) fn compiled_for(
                 CacheEntry::TooLarge
             }
         };
-        cache.insert(keys[i], entry, budget);
+        cache.insert(keys[i], entry, CACHE_STEPS);
         if mesh_obs::enabled() {
             // Fold freshly-compiled trace keys into the run manifest's
             // workload fingerprint (XOR fold: order-independent across
@@ -590,17 +554,16 @@ static COMPILES: AtomicU64 = AtomicU64::new(0);
 /// Resolves the given task indices (in-memory misses), spreading distinct
 /// tasks over scoped worker threads claiming from a shared atomic index.
 /// Each task goes through the persistent store when one is configured —
-/// load if published, else claim + compile + publish ([`crate::store`]).
+/// load if published, else compile and publish ([`get_or_compile`]).
 fn compile_parallel(
     missing: &[usize],
     keys: &[u128],
     workload: &Workload,
     machine: &MachineConfig,
     pacing: Pacing,
-    max_steps: usize,
 ) -> Vec<Option<Arc<TaskTrace>>> {
     let compile_one = |i: usize| {
-        crate::store::get_or_compile(keys[i], max_steps, &|| {
+        get_or_compile(keys[i], || {
             COMPILES.fetch_add(1, Ordering::Relaxed);
             if mesh_obs::enabled() {
                 mesh_obs::counter("cyclesim.trace.compiles").inc();
@@ -609,7 +572,7 @@ fn compile_parallel(
                 &workload.tasks[i].segments,
                 machine.procs[i],
                 derived_pacing(pacing, i),
-                max_steps,
+                MAX_STEPS,
             )
             .map(Arc::new)
         })
@@ -641,6 +604,130 @@ fn compile_parallel(
                 .expect("worker filled every claimed slot")
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// The trace namespace of the persistent store.
+// ---------------------------------------------------------------------------
+
+/// Environment variable enabling the persistent trace store: a directory
+/// path (created if absent). Unset or empty disables it.
+pub const STORE_ENV: &str = "MESH_TRACE_STORE";
+
+/// The store namespace of compiled traces: `<key>.trace` entries, obs
+/// counters `cyclesim.trace_store.*`.
+static TRACES: Namespace = Namespace::new(1, STORE_ENV, "trace", "cyclesim.trace_store");
+
+/// Points the trace store at `dir` (created if needed) for the rest of the
+/// process, overriding [`STORE_ENV`]; `None` disables it. The byte budget
+/// is `budget` if given, else `MESH_TRACE_STORE_BYTES` / the default. Used
+/// by perfsuite's cold-vs-warm sections and tests; sweeps normally
+/// configure the store through the environment.
+pub fn set_store(dir: Option<&std::path::Path>, budget: Option<u64>) {
+    match budget {
+        Some(b) => TRACES.configure_budgeted(dir, b),
+        None => TRACES.configure(dir),
+    }
+}
+
+/// Whether the trace store is active (via [`STORE_ENV`] or [`set_store`]).
+/// The fabric parent uses this to decide whether pre-warming can benefit
+/// its worker processes at all.
+pub fn store_enabled() -> bool {
+    TRACES.configured().is_some()
+}
+
+/// Snapshot of the trace store's counters.
+pub fn store_stats() -> StoreStats {
+    TRACES.stats()
+}
+
+/// busy (8) + idle (8) + hits (8) + event tag (1) + event argument (8).
+const STEP_LEN: usize = 33;
+
+fn event_encode(event: StepEvent) -> (u8, u64) {
+    match event {
+        StepEvent::Miss => (0, 0),
+        StepEvent::Io => (1, 0),
+        StepEvent::Barrier(b) => (2, b as u64),
+        StepEvent::Finish => (3, 0),
+    }
+}
+
+fn event_decode(tag: u8, arg: u64) -> Option<StepEvent> {
+    match (tag, arg) {
+        (0, 0) => Some(StepEvent::Miss),
+        (1, 0) => Some(StepEvent::Io),
+        (2, b) => Some(StepEvent::Barrier(usize::try_from(b).ok()?)),
+        (3, 0) => Some(StepEvent::Finish),
+        _ => None,
+    }
+}
+
+/// A trace's store payload: fixed-width step records, in order.
+fn encode_steps(trace: &TaskTrace) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(trace.steps() * STEP_LEN);
+    for s in trace.iter_steps() {
+        payload.extend_from_slice(&s.busy.to_le_bytes());
+        payload.extend_from_slice(&s.idle.to_le_bytes());
+        payload.extend_from_slice(&s.hits.to_le_bytes());
+        let (tag, arg) = event_encode(s.event);
+        payload.push(tag);
+        payload.extend_from_slice(&arg.to_le_bytes());
+    }
+    payload
+}
+
+/// Decodes a store payload back into a trace, or `None` when the records
+/// are not a valid trace (the store then quarantines the entry).
+fn decode_steps(payload: &[u8]) -> Option<TaskTrace> {
+    if payload.is_empty() || !payload.len().is_multiple_of(STEP_LEN) {
+        return None;
+    }
+    let le8 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let mut steps: Vec<TraceStep> = Vec::with_capacity(payload.len() / STEP_LEN);
+    for rec in payload.chunks_exact(STEP_LEN) {
+        steps.push(TraceStep {
+            busy: le8(&rec[0..8]),
+            idle: le8(&rec[8..16]),
+            hits: le8(&rec[16..24]),
+            event: event_decode(rec[24], le8(&rec[25..33]))?,
+        });
+    }
+    // Finish is always the final step and never an interior one — the
+    // compiler stops at it, and the engines' readers rely on it.
+    let finishes = steps
+        .iter()
+        .filter(|s| s.event == StepEvent::Finish)
+        .count();
+    if finishes != 1 || steps.last().map(|s| s.event) != Some(StepEvent::Finish) {
+        return None;
+    }
+    Some(TaskTrace::from_steps(steps))
+}
+
+/// The store-aware compile path: the trace for `key` from the persistent
+/// store if published and valid, else `compile_fn()`, published for other
+/// processes. With no store configured this is exactly `compile_fn()`.
+///
+/// `compile_fn` returning `None` (step cap exceeded) is propagated without
+/// publishing; a published trace over the cap yields the same verdict
+/// without a compile. Every caller negative-caches it in memory.
+fn get_or_compile(
+    key: u128,
+    compile_fn: impl FnOnce() -> Option<Arc<TaskTrace>>,
+) -> Option<Arc<TaskTrace>> {
+    let Some(store) = TRACES.configured() else {
+        return compile_fn();
+    };
+    if let Some(trace) = store.load(key, decode_steps) {
+        return (trace.steps() <= MAX_STEPS).then(|| Arc::new(trace));
+    }
+    let trace = compile_fn();
+    if let Some(t) = &trace {
+        store.publish(key, &encode_steps(t));
+    }
+    trace
 }
 
 // ---------------------------------------------------------------------------
@@ -742,7 +829,10 @@ pub fn prewarm(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
 /// memory and time its workers cannot benefit from. A no-op without a
 /// configured store or for workload/machine pairings the simulator rejects.
 pub fn ensure_stored(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
-    if !crate::store::store_enabled() || workload.tasks.len() > machine.procs.len() {
+    let Some(store) = TRACES.configured() else {
+        return;
+    };
+    if workload.tasks.len() > machine.procs.len() {
         return;
     }
     let n = workload.tasks.len();
@@ -757,17 +847,16 @@ pub fn ensure_stored(workload: &Workload, machine: &MachineConfig, pacing: Pacin
         .collect();
     let mut missing: Vec<usize> = Vec::new();
     for i in 0..n {
-        if !crate::store::is_published(keys[i]) && !missing.iter().any(|&j| keys[j] == keys[i]) {
+        if !store.contains(keys[i]) && !missing.iter().any(|&j| keys[j] == keys[i]) {
             missing.push(i);
         }
     }
     if missing.is_empty() {
         return;
     }
-    let max_steps = env_steps(MAX_STEPS_ENV, DEFAULT_MAX_STEPS);
     // Results deliberately dropped: get_or_compile published them, which is
     // all a pre-warming parent needs.
-    let _ = compile_parallel(&missing, &keys, workload, machine, pacing, max_steps);
+    let _ = compile_parallel(&missing, &keys, workload, machine, pacing);
 }
 
 /// Compiles every task of the workload from scratch — bypassing the
@@ -961,5 +1050,73 @@ mod tests {
         let steps = compile_uncached(&w, &machine, Pacing::Even);
         // Per task: 5 miss steps plus the finishing step.
         assert_eq!(steps, 3 * 6);
+    }
+
+    /// The trace namespace's store payload.
+    mod payload {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_trace() -> impl Strategy<Value = TaskTrace> {
+            let step = (
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                prop_oneof![
+                    Just(StepEvent::Miss),
+                    Just(StepEvent::Io),
+                    (0usize..1 << 40).prop_map(StepEvent::Barrier),
+                ],
+            )
+                .prop_map(|(busy, idle, hits, event)| TraceStep {
+                    busy,
+                    idle,
+                    hits,
+                    event,
+                });
+            prop::collection::vec(step, 0..64).prop_map(|mut steps| {
+                steps.push(TraceStep {
+                    busy: 0,
+                    idle: 0,
+                    hits: 0,
+                    event: StepEvent::Finish,
+                });
+                TaskTrace::from_steps(steps)
+            })
+        }
+
+        proptest! {
+            /// Every field of every step survives the store payload encoding.
+            #[test]
+            fn payload_round_trip_preserves_every_field(trace in arb_trace()) {
+                prop_assert_eq!(decode_steps(&encode_steps(&trace)), Some(trace));
+            }
+
+            /// A payload cut anywhere is rejected, never misread.
+            #[test]
+            fn truncated_payloads_are_rejected(trace in arb_trace(), cut in 0.0f64..1.0) {
+                let bytes = encode_steps(&trace);
+                let cut = ((bytes.len() as f64 * cut) as usize).min(bytes.len() - 1);
+                prop_assert_eq!(decode_steps(&bytes[..cut]), None);
+            }
+        }
+
+        #[test]
+        fn payload_validation_rejects_malformed_steps() {
+            let trace = compile(&thrash_segments(5), proc(1024), Pacing::Even, usize::MAX).unwrap();
+            let bytes = encode_steps(&trace);
+            assert!(decode_steps(&bytes).is_some());
+            // An unknown event tag.
+            let mut bad_tag = bytes.clone();
+            bad_tag[24] = 9;
+            assert_eq!(decode_steps(&bad_tag), None);
+            // Finish moved off the end: drop the final record.
+            assert_eq!(decode_steps(&bytes[..bytes.len() - STEP_LEN]), None);
+            // A second Finish in the interior.
+            let mut two_finishes = bytes.clone();
+            two_finishes[24] = 3;
+            two_finishes[25..33].fill(0);
+            assert_eq!(decode_steps(&two_finishes), None);
+        }
     }
 }

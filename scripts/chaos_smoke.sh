@@ -24,11 +24,12 @@
 #   5. Degradation: with MESH_FABRIC_EXE pointing nowhere, spawning fails
 #      and the sweep completes on the in-process engine, byte-identical,
 #      exit 0.
-#   6. Trace store: a sharded fig4 run with MESH_TRACE_STORE populates the
-#      store and stays byte-identical; a published .trace file is then
-#      truncated (the torn write a crash mid-publish would leave if rename
-#      were not atomic) and the warm rerun — under another SIGKILL storm —
-#      quarantines it, recompiles, and is still byte-identical.
+#   6. Persistent store, once per namespace (MESH_TRACE_STORE for .trace
+#      files, MESH_RESULT_CACHE for .res entries): a sharded fig4 run
+#      populates the namespace and stays byte-identical; a published entry
+#      is then truncated (the torn write a crash mid-publish would leave if
+#      rename were not atomic) and the warm rerun — under another SIGKILL
+#      storm — quarantines it, recomputes, and is still byte-identical.
 #   7. Telemetry merge under fire: a sharded fig4 run with MESH_OBS_OUT,
 #      under the same SIGKILL storm, produces one merged metrics.json
 #      whose sweep.points_done and cyclesim.sim.runs equal the
@@ -59,6 +60,31 @@ fail() {
     exit 1
 }
 
+# storm <stdout> <stderr> [VAR=value...]: runs fig4 with the given
+# environment while a background loop SIGKILLs a random direct child of
+# the sweep parent every 50ms, and sets $status to fig4's exit status.
+# Kills that land between sweeps (or after completion) are harmless
+# no-ops, so checks stay green on machines fast enough to outrun the
+# killer.
+storm() {
+    local out="$1" err="$2"
+    shift 2
+    set +e
+    env "$@" "$FIG4" > "$out" 2> "$err" &
+    local pid=$!
+    for _ in $(seq 1 40); do
+        sleep 0.05
+        mapfile -t kids < <(pgrep -P "$pid" 2>/dev/null)
+        if (( ${#kids[@]} > 0 )); then
+            kill -9 "${kids[RANDOM % ${#kids[@]}]}" 2>/dev/null
+        fi
+        kill -0 "$pid" 2>/dev/null || break
+    done
+    wait "$pid"
+    status=$?
+    set -e
+}
+
 # Golden references: clean single-process runs.
 "$FIG4" > "$WORK/fig4.golden.txt" 2>/dev/null
 "$WORKER" > "$WORK/worker.golden.txt" 2>/dev/null
@@ -70,25 +96,9 @@ cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.sharded.txt" \
 echo "chaos_smoke: [1/7] sharded fig4 byte-identical (3 shards)"
 
 # --- 2. Sharded fig4 under a random worker-SIGKILL storm ------------------
-# The killer loop SIGKILLs a random direct child of the sweep parent every
-# 50ms; the strike budget is generous so kills never exhaust a point. Kills
-# that land between sweeps (or after completion) are harmless no-ops, so
-# the check stays green on machines fast enough to outrun the killer.
-set +e
-MESH_BENCH_SHARDS=3 MESH_BENCH_RETRIES=10 \
-    "$FIG4" > "$WORK/fig4.chaos.txt" 2> "$WORK/fig4.chaos.err" &
-pid=$!
-for _ in $(seq 1 40); do
-    sleep 0.05
-    mapfile -t kids < <(pgrep -P "$pid" 2>/dev/null)
-    if (( ${#kids[@]} > 0 )); then
-        kill -9 "${kids[RANDOM % ${#kids[@]}]}" 2>/dev/null
-    fi
-    kill -0 "$pid" 2>/dev/null || break
-done
-wait "$pid"
-status=$?
-set -e
+# The strike budget is generous so kills never exhaust a point.
+storm "$WORK/fig4.chaos.txt" "$WORK/fig4.chaos.err" \
+    MESH_BENCH_SHARDS=3 MESH_BENCH_RETRIES=10
 [[ $status -eq 0 ]] || fail "fig4 under SIGKILL storm exited $status (stderr: $(cat "$WORK/fig4.chaos.err"))"
 cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.chaos.txt" \
     || fail "fig4 output under SIGKILL storm differs from the golden run"
@@ -139,41 +149,32 @@ cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.fallback.txt" \
     || fail "in-process fallback output differs from the golden run"
 echo "chaos_smoke: [5/7] spawn failure degraded gracefully to the in-process engine"
 
-# --- 6. Persistent trace store: torn file quarantined, output identical ---
-STORE="$WORK/trace-store"
-MESH_BENCH_SHARDS=3 MESH_TRACE_STORE="$STORE" \
-    "$FIG4" > "$WORK/fig4.store-cold.txt" 2>/dev/null
-cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.store-cold.txt" \
-    || fail "cold trace-store fig4 output differs from the golden run"
-mapfile -t traces < <(ls "$STORE"/*.trace 2>/dev/null)
-(( ${#traces[@]} > 0 )) || fail "cold run published no .trace files into $STORE"
-# Tear one published trace in half: exactly what a non-atomic publish
-# interrupted by SIGKILL would leave behind. The warm run must detect it,
-# rename it aside and recompile that workload.
-torn="${traces[RANDOM % ${#traces[@]}]}"
-size="$(stat -c %s "$torn")"
-truncate -s "$((size / 2))" "$torn"
-set +e
-MESH_BENCH_SHARDS=3 MESH_BENCH_RETRIES=10 MESH_TRACE_STORE="$STORE" \
-    "$FIG4" > "$WORK/fig4.store-warm.txt" 2> "$WORK/fig4.store-warm.err" &
-pid=$!
-for _ in $(seq 1 40); do
-    sleep 0.05
-    mapfile -t kids < <(pgrep -P "$pid" 2>/dev/null)
-    if (( ${#kids[@]} > 0 )); then
-        kill -9 "${kids[RANDOM % ${#kids[@]}]}" 2>/dev/null
-    fi
-    kill -0 "$pid" 2>/dev/null || break
+# --- 6. Persistent store: torn entry quarantined, output identical ------
+for ns in MESH_TRACE_STORE:trace MESH_RESULT_CACHE:res; do
+    var="${ns%%:*}"
+    ext="${ns##*:}"
+    STORE="$WORK/store-$ext"
+    MESH_BENCH_SHARDS=3 env "$var=$STORE" \
+        "$FIG4" > "$WORK/fig4.$ext-cold.txt" 2>/dev/null
+    cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.$ext-cold.txt" \
+        || fail "cold $var fig4 output differs from the golden run"
+    mapfile -t entries < <(ls "$STORE"/*."$ext" 2>/dev/null)
+    (( ${#entries[@]} > 0 )) || fail "cold run published no .$ext files into $STORE"
+    # Tear one published entry in half: exactly what a non-atomic publish
+    # interrupted by SIGKILL would leave behind. The warm run must detect
+    # it, rename it aside and recompute that value.
+    torn="${entries[RANDOM % ${#entries[@]}]}"
+    size="$(stat -c %s "$torn")"
+    truncate -s "$((size / 2))" "$torn"
+    storm "$WORK/fig4.$ext-warm.txt" "$WORK/fig4.$ext-warm.err" \
+        MESH_BENCH_SHARDS=3 MESH_BENCH_RETRIES=10 "$var=$STORE"
+    [[ $status -eq 0 ]] || fail "warm $var fig4 exited $status (stderr: $(cat "$WORK/fig4.$ext-warm.err"))"
+    cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.$ext-warm.txt" \
+        || fail "warm $var fig4 output differs from the golden run"
+    ls "$STORE"/*.quarantined >/dev/null 2>&1 \
+        || fail "the torn .$ext file was not quarantined"
+    echo "chaos_smoke: [6/7] torn .$ext entry quarantined; warm sharded $var run byte-identical under SIGKILL storm"
 done
-wait "$pid"
-status=$?
-set -e
-[[ $status -eq 0 ]] || fail "warm trace-store fig4 exited $status (stderr: $(cat "$WORK/fig4.store-warm.err"))"
-cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.store-warm.txt" \
-    || fail "warm trace-store fig4 output differs from the golden run"
-ls "$STORE"/*.quarantined >/dev/null 2>&1 \
-    || fail "the torn .trace file was not quarantined"
-echo "chaos_smoke: [6/7] torn store file quarantined; warm sharded run byte-identical under SIGKILL storm"
 
 # --- 7. Telemetry merge under the SIGKILL storm ---------------------------
 # The merged multi-process snapshot must equal the single-process run's on
@@ -182,21 +183,8 @@ echo "chaos_smoke: [6/7] torn store file quarantined; warm sharded run byte-iden
 # bump from a killed attempt dies with its missing record and the retry
 # counts the point exactly once.
 MESH_OBS_OUT="$WORK/obs-single" "$FIG4" > /dev/null 2>&1
-set +e
-MESH_BENCH_SHARDS=3 MESH_BENCH_RETRIES=10 MESH_OBS_OUT="$WORK/obs-sharded" \
-    "$FIG4" > "$WORK/fig4.obs.txt" 2> "$WORK/fig4.obs.err" &
-pid=$!
-for _ in $(seq 1 40); do
-    sleep 0.05
-    mapfile -t kids < <(pgrep -P "$pid" 2>/dev/null)
-    if (( ${#kids[@]} > 0 )); then
-        kill -9 "${kids[RANDOM % ${#kids[@]}]}" 2>/dev/null
-    fi
-    kill -0 "$pid" 2>/dev/null || break
-done
-wait "$pid"
-status=$?
-set -e
+storm "$WORK/fig4.obs.txt" "$WORK/fig4.obs.err" \
+    MESH_BENCH_SHARDS=3 MESH_BENCH_RETRIES=10 MESH_OBS_OUT="$WORK/obs-sharded"
 [[ $status -eq 0 ]] || fail "observed fig4 under SIGKILL storm exited $status (stderr: $(cat "$WORK/fig4.obs.err"))"
 cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.obs.txt" \
     || fail "observed fig4 output under SIGKILL storm differs from the golden run"
