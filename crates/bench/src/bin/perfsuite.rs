@@ -28,7 +28,7 @@
 //!
 //! The `sweep/` section times an end-to-end ablation grid through the
 //! split-phase evaluation tiers: `sweep/grid_shared` (the grid shares one
-//! reference through the sub-evaluation LRU) and `sweep/grid_memo_warm`
+//! reference through the results memory tier) and `sweep/grid_memo_warm`
 //! (persistent result cache replay).
 //!
 //! `--filter SUBSTR` runs only the benchmarks whose name contains SUBSTR —
@@ -419,10 +419,10 @@ fn bench_store(suite: &mut Suite, samples: usize) {
 /// (a min-timeslice sweep over one FFT scenario, the `ablation_minslice`
 /// shape at smoke size):
 ///
-/// * `sweep/grid_shared` — LRU on, cleared per sample: the whole grid
-///   shares one reference through the in-process tier;
-/// * `sweep/grid_memo_warm` — persistent result cache populated, LRU
-///   cleared per sample: every point replays from disk.
+/// * `sweep/grid_shared` — memory tier cleared per sample: the whole grid
+///   shares one reference through it;
+/// * `sweep/grid_memo_warm` — persistent result cache populated, memory
+///   tier cleared per sample: every point replays from disk.
 ///
 /// Runs alongside `store/` at the end of the suite and restores the
 /// environment-driven configuration.

@@ -66,6 +66,28 @@ pub trait Checkpointable: Sized {
     fn decode(s: &str) -> Option<Self>;
 }
 
+/// Implements [`Checkpointable`] for a struct as the encodings of the
+/// listed fields, space-separated in order; decoding requires exactly that
+/// many tokens.
+macro_rules! checkpoint_record {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::checkpoint::Checkpointable for $ty {
+            fn encode(&self) -> String {
+                [$($crate::checkpoint::Checkpointable::encode(&self.$field)),+].join(" ")
+            }
+
+            fn decode(s: &str) -> Option<$ty> {
+                let mut tokens = s.split_whitespace();
+                let value = $ty {
+                    $($field: $crate::checkpoint::Checkpointable::decode(tokens.next()?)?),+
+                };
+                tokens.next().is_none().then_some(value)
+            }
+        }
+    };
+}
+pub(crate) use checkpoint_record;
+
 impl Checkpointable for u64 {
     fn encode(&self) -> String {
         self.to_string()

@@ -18,8 +18,8 @@
 //!    use every core; nothing blocks.
 //! 2. **Evaluation phase** — the full grid dispatches through the ordinary
 //!    sweep entry points; every point finds its group's reference already
-//!    in the sub-evaluation LRU (or the persistent result cache) and pays
-//!    only the cheap hybrid/analytical legs.
+//!    in the results namespace's memory tier (or the persistent result
+//!    cache) and pays only the cheap hybrid leg.
 //!
 //! Under the multi-process fabric (`MESH_BENCH_SHARDS`), the reference
 //! phase runs in the parent only when the persistent result cache is on, so

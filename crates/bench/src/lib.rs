@@ -108,8 +108,8 @@ pub fn or_exit<T, E: std::fmt::Display>(context: &str, result: Result<T, E>) -> 
 /// End-of-run observability epilogue, called by every experiment binary just
 /// before it exits:
 ///
-/// * with `MESH_BENCH_PROGRESS` set, a one-line cross-sweep trace-cache
-///   summary goes to stderr (stdout is never touched);
+/// * with `MESH_BENCH_PROGRESS` set, one-line summaries of the trace and
+///   result caches go to stderr (stdout is never touched);
 /// * [`mesh_obs::finish`] writes the metrics snapshot (`MESH_OBS_OUT`) and
 ///   the Chrome-trace timeline (`MESH_OBS_TRACE`) if those were requested.
 ///
@@ -117,28 +117,8 @@ pub fn or_exit<T, E: std::fmt::Display>(context: &str, result: Result<T, E>) -> 
 /// enabled.
 pub fn obs_finish() {
     if std::env::var_os(sweep::PROGRESS_ENV).is_some_and(|v| !v.is_empty()) {
-        let s = mesh_cyclesim::cache_stats();
-        eprintln!(
-            "mesh-bench trace-cache: {} hits, {} misses, {} evictions, {} fallbacks \
-             ({} entries, {} steps resident, {} compiles)",
-            s.hits, s.misses, s.evictions, s.fallbacks, s.entries, s.resident_steps, s.compiles
-        );
-        if mesh_cyclesim::store_enabled() {
-            let s = mesh_cyclesim::store_stats();
-            eprintln!(
-                "mesh-bench trace-store: {} hits, {} misses, {} publishes, {} quarantined, \
-                 {} gc-removed",
-                s.hits, s.misses, s.publishes, s.quarantined, s.gc_removed
-            );
-        }
-        let s = memo::stats();
-        if memo::enabled() || s.lru_hits > 0 {
-            eprintln!(
-                "mesh-bench result-cache: {} hits, {} misses, {} stores, {} quarantined, \
-                 {} lru-hits",
-                s.hits, s.misses, s.stores, s.quarantined, s.lru_hits
-            );
-        }
+        eprintln!("mesh-bench traces: {:?}", mesh_cyclesim::store_stats());
+        eprintln!("mesh-bench results: {:?}", memo::stats());
     }
     mesh_obs::finish();
 }
@@ -280,29 +260,14 @@ pub struct IssRef {
     pub cycles: u64,
 }
 
-impl crate::checkpoint::Checkpointable for IssRef {
-    fn encode(&self) -> String {
-        [self.pct.encode(), self.wall.encode(), self.cycles.encode()].join(" ")
-    }
+checkpoint::checkpoint_record!(IssRef { pct, wall, cycles });
 
-    fn decode(s: &str) -> Option<IssRef> {
-        let mut it = s.split_whitespace();
-        let v = IssRef {
-            pct: f64::decode(it.next()?)?,
-            wall: Duration::decode(it.next()?)?,
-            cycles: u64::decode(it.next()?)?,
-        };
-        if it.next().is_some() {
-            return None;
-        }
-        Some(v)
-    }
-}
-
-/// The memoized product of the hybrid sub-evaluation.
+/// The memoized product of the hybrid sub-evaluation: the hybrid run and
+/// the whole-program analytical estimate over the same annotation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct HybridLeg {
     pct: f64,
+    analytical_pct: f64,
     wall: Duration,
     cycles: f64,
     regions: u64,
@@ -311,37 +276,16 @@ struct HybridLeg {
     misses: u64,
 }
 
-impl crate::checkpoint::Checkpointable for HybridLeg {
-    fn encode(&self) -> String {
-        [
-            self.pct.encode(),
-            self.wall.encode(),
-            self.cycles.encode(),
-            self.regions.encode(),
-            self.slices.encode(),
-            self.work_cycles.encode(),
-            self.misses.encode(),
-        ]
-        .join(" ")
-    }
-
-    fn decode(s: &str) -> Option<HybridLeg> {
-        let mut it = s.split_whitespace();
-        let v = HybridLeg {
-            pct: f64::decode(it.next()?)?,
-            wall: Duration::decode(it.next()?)?,
-            cycles: f64::decode(it.next()?)?,
-            regions: u64::decode(it.next()?)?,
-            slices: u64::decode(it.next()?)?,
-            work_cycles: u64::decode(it.next()?)?,
-            misses: u64::decode(it.next()?)?,
-        };
-        if it.next().is_some() {
-            return None;
-        }
-        Some(v)
-    }
-}
+checkpoint::checkpoint_record!(HybridLeg {
+    pct,
+    analytical_pct,
+    wall,
+    cycles,
+    regions,
+    slices,
+    work_cycles,
+    misses,
+});
 
 /// The sub-evaluation fingerprint of the cycle-accurate reference for a
 /// workload/machine pair: the key [`iss_reference`] memoizes under, and the
@@ -357,8 +301,8 @@ pub fn iss_reference_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
 }
 
 /// Runs (or replays) the cycle-accurate reference for a workload/machine
-/// pair, memoized under [`iss_reference_fp`] in the in-process
-/// sub-evaluation LRU and — with `MESH_RESULT_CACHE` set — the persistent
+/// pair, memoized under [`iss_reference_fp`] in the results namespace's
+/// memory tier and — with `MESH_RESULT_CACHE` set — the persistent
 /// result cache. Every sweep point sharing the scenario shares one
 /// simulation; concurrent callers are single-flighted.
 ///
@@ -421,6 +365,23 @@ fn hybrid_leg_flagged(
             .expect("hybrid assembly failed");
         let work_cycles = setup.work_total();
         let misses = setup.misses_total();
+        // The whole-program estimate reads the same annotation totals.
+        let profiles: Vec<ThreadProfile> = setup
+            .tasks
+            .iter()
+            .map(|t| {
+                ThreadProfile::new(
+                    mesh_core::SimTime::from_cycles(t.work_cycles as f64),
+                    t.misses as f64,
+                )
+            })
+            .collect();
+        let analytical_pct = AnalyticalEstimator::new(
+            ChenLinBus::new(),
+            mesh_core::SimTime::from_cycles(machine.bus.delay_cycles as f64),
+        )
+        .estimate(&profiles)
+        .queuing_percent();
         let mut builder = setup.builder;
         builder.set_min_timeslice(mesh_core::SimTime::from_cycles(options.min_timeslice));
         let outcome = builder
@@ -436,6 +397,7 @@ fn hybrid_leg_flagged(
         };
         HybridLeg {
             pct,
+            analytical_pct,
             wall: outcome.report.wall_clock,
             cycles: outcome.report.total_time.as_cycles(),
             regions: outcome.report.commits,
@@ -450,51 +412,14 @@ fn hybrid_leg_flagged(
     (leg, shared)
 }
 
-fn analytical_leg(workload: &Workload, machine: &MachineConfig, policy: AnnotationPolicy) -> f64 {
-    let model = ChenLinBus::new();
-    let [ptag, parg] = policy_words(policy);
-    // The whole-program estimator ignores the minimum timeslice, so it is
-    // *not* part of this key — but the annotation policy is: regions
-    // accumulate operations before cycle conversion, so with non-unit
-    // processor powers the rounded work totals can differ per policy.
-    let fp = scenario_fp("subeval-analytical", workload, machine)
-        .word(ptag)
-        .word(parg)
-        .text(model.name())
-        .words(&model.digest_words())
-        .finish();
-    let (pct, shared) = memo::memoize_flagged(fp, || {
-        let setup: HybridSetup =
-            assemble(workload, machine, ChenLinBus::new(), policy).expect("hybrid assembly failed");
-        let profiles: Vec<ThreadProfile> = setup
-            .tasks
-            .iter()
-            .map(|t| {
-                ThreadProfile::new(
-                    mesh_core::SimTime::from_cycles(t.work_cycles as f64),
-                    t.misses as f64,
-                )
-            })
-            .collect();
-        let estimator = AnalyticalEstimator::new(
-            ChenLinBus::new(),
-            mesh_core::SimTime::from_cycles(machine.bus.delay_cycles as f64),
-        );
-        estimator.estimate(&profiles).queuing_percent()
-    });
-    if shared {
-        bump_subeval("bench.subeval.analytical_shared");
-    }
-    pct
-}
-
-/// Runs all three estimators on a workload/machine pair as independently
-/// memoized **sub-evaluations** — cycle-accurate reference, hybrid run, and
-/// whole-program analytical estimate — each cached in the in-process
-/// sub-evaluation LRU and (with `MESH_RESULT_CACHE` set) the persistent
-/// result cache under its own fingerprint domain. A sweep that varies only
-/// hybrid knobs therefore runs the expensive reference **once per distinct
-/// (workload, machine)** instead of once per point.
+/// Runs all three estimators on a workload/machine pair as two
+/// independently memoized **sub-evaluations** — the cycle-accurate
+/// reference, and the hybrid run together with the whole-program
+/// analytical estimate over the same annotation — each cached in the
+/// results namespace's memory tier and (with `MESH_RESULT_CACHE` set) the
+/// persistent result cache under its own fingerprint domain. A sweep that
+/// varies only hybrid knobs therefore runs the expensive reference **once
+/// per distinct (workload, machine)** instead of once per point.
 ///
 /// Cached legs replay their *recorded* wall-clock times, so replayed output
 /// is byte-identical to the run that populated the cache; the returned
@@ -512,12 +437,11 @@ pub fn compare(
 ) -> ComparisonPoint {
     let (iss, iss_shared) = iss_reference_flagged(workload, machine);
     let (hybrid, hybrid_shared) = hybrid_leg_flagged(workload, machine, options);
-    let analytical_pct = analytical_leg(workload, machine, options.policy);
 
     ComparisonPoint {
         iss_pct: iss.pct,
         mesh_pct: hybrid.pct,
-        analytical_pct,
+        analytical_pct: hybrid.analytical_pct,
         iss_wall: iss.wall,
         mesh_wall: hybrid.wall,
         iss_cycles: iss.cycles,
@@ -659,8 +583,8 @@ pub fn adversarial_arbitrations(n_procs: usize) -> Vec<Arbitration> {
 /// queuing, in cycles — the adversarial ground truth a worst-case envelope
 /// must dominate. Returns zero when `MESH_ADVERSARY=off` empties the set.
 ///
-/// The maximum is memoized per scenario in the in-process sub-evaluation
-/// LRU and — with `MESH_RESULT_CACHE` set — on disk; the raw
+/// The maximum is memoized per scenario in the results namespace's memory
+/// tier and — with `MESH_RESULT_CACHE` set — on disk; the raw
 /// `MESH_ADVERSARY` value is part of the key, so changing the schedule set
 /// never serves a stale maximum.
 ///
@@ -730,31 +654,12 @@ impl EnvelopePoint {
     }
 }
 
-impl crate::checkpoint::Checkpointable for EnvelopePoint {
-    fn encode(&self) -> String {
-        [
-            self.mean_pct.encode(),
-            self.worst_pct.encode(),
-            self.adversarial_pct.encode(),
-            self.work_cycles.encode(),
-        ]
-        .join(" ")
-    }
-
-    fn decode(s: &str) -> Option<EnvelopePoint> {
-        let mut it = s.split_whitespace();
-        let point = EnvelopePoint {
-            mean_pct: f64::decode(it.next()?)?,
-            worst_pct: f64::decode(it.next()?)?,
-            adversarial_pct: f64::decode(it.next()?)?,
-            work_cycles: u64::decode(it.next()?)?,
-        };
-        if it.next().is_some() {
-            return None;
-        }
-        Some(point)
-    }
-}
+checkpoint::checkpoint_record!(EnvelopePoint {
+    mean_pct,
+    worst_pct,
+    adversarial_pct,
+    work_cycles,
+});
 
 /// The memoizable product of one hybrid envelope run: the work-cycle
 /// denominator plus the kernel's full [`Report`](mesh_core::Report),

@@ -94,11 +94,11 @@ use std::time::Duration;
 
 pub use crate::checkpoint::{stable_key_hash, Checkpoint, Checkpointable};
 
-/// Environment variable selecting the sweep worker count.
-///
-/// Unset or invalid values fall back to the host's available parallelism;
-/// `1` restores serial evaluation.
-pub const JOBS_ENV: &str = "MESH_BENCH_JOBS";
+/// The sweep worker count and its environment variable, shared with trace
+/// compilation: `MESH_BENCH_JOBS` if set to a positive integer (`1` =
+/// serial evaluation), else the host's available parallelism; an invalid
+/// value is reported on stderr.
+pub use mesh_cyclesim::{jobs_from_env, trace::JOBS_ENV};
 
 /// Environment variable forcing progress reporting to stderr even when
 /// stderr is not a terminal (set to anything non-empty).
@@ -120,36 +120,6 @@ pub const RETRIES_ENV: &str = "MESH_BENCH_RETRIES";
 /// index (`3`) or `label:index` (`fig5:3`) to target one sweep of a
 /// multi-sweep binary.
 pub const FAIL_POINT_ENV: &str = "MESH_BENCH_FAIL_POINT";
-
-/// Returns the sweep worker count: [`JOBS_ENV`] if set to a positive
-/// integer, otherwise the host's available parallelism.
-///
-/// # Examples
-///
-/// ```
-/// // With MESH_BENCH_JOBS unset this is the host's core count.
-/// assert!(mesh_bench::sweep::jobs_from_env() >= 1);
-/// ```
-pub fn jobs_from_env() -> usize {
-    match std::env::var(JOBS_ENV) {
-        Ok(value) => match value.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "mesh-bench: ignoring invalid {JOBS_ENV}={value:?} (want a positive integer)"
-                );
-                default_jobs()
-            }
-        },
-        Err(_) => default_jobs(),
-    }
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Returns the per-point retry budget: [`RETRIES_ENV`] if set to a
 /// non-negative integer, otherwise 1.

@@ -49,7 +49,7 @@ fn results_identical_across_cache_configurations() {
     let _ = std::fs::remove_dir_all(&memo_dir);
 
     // Leg 1: no store, no memo — the plain in-process baseline. The
-    // sub-evaluation LRU is cleared so this process actually simulates.
+    // results memory tier is cleared so this process actually simulates.
     mesh_cyclesim::set_store(None, None);
     memo::set_result_cache(None);
     mesh_cyclesim::trace::clear_cache();
@@ -118,8 +118,8 @@ fn results_identical_across_cache_configurations() {
         "memoized run diverged from the storeless baseline"
     );
 
-    // Leg 5: in-process LRU — with the LRU left warm, the point is served
-    // without touching disk.
+    // Leg 5: memory tier — left warm, it serves the point without touching
+    // disk.
     let lru_before = memo::stats().lru_hits;
     let lru = point();
     assert!(

@@ -13,15 +13,14 @@
 //!
 //! By default both engines consume **compiled traces** ([`TraceMode`], the
 //! [`trace`] module): each task's cursor walk, pacing RNG and private-cache
-//! simulation run once at compile time — in parallel, de-duplicated by a
-//! cross-sweep content-keyed cache — and the engines merge pre-resolved
-//! events. The on-the-fly cursor path remains available behind
-//! [`TraceMode::OnTheFly`] and produces identical reports. Setting
-//! `MESH_TRACE_STORE=<dir>` adds a persistent cross-process tier (the
-//! [`store`] module, which also holds the bench harness's memoized
-//! results): compiled traces are published to a content-addressed on-disk
-//! store so the compile cost is paid once per *machine*, not once per
-//! process.
+//! simulation run once at compile time — in parallel, de-duplicated by the
+//! content-keyed trace namespace of the [`store`] — and the engines merge
+//! pre-resolved events. The on-the-fly cursor path remains available behind
+//! [`TraceMode::OnTheFly`] and produces identical reports. The namespace
+//! keeps compiled traces in memory; setting `MESH_TRACE_STORE=<dir>` also
+//! publishes them to a content-addressed on-disk directory (the same
+//! [`store`] holds the bench harness's memoized results), so the compile
+//! cost is paid once per *machine*, not once per process.
 //!
 //! The simulator consumes the same [`Workload`](mesh_workloads::Workload)
 //! and [`MachineConfig`](mesh_arch::MachineConfig) the hybrid setup uses, so
@@ -44,6 +43,6 @@ pub use sim::{
 };
 pub use store::StoreStats;
 pub use trace::{
-    cache_stats, ensure_stored, prewarm, set_store, store_enabled, store_stats,
-    workload_fingerprint, TraceCacheStats, TraceMode,
+    cache_stats, ensure_stored, jobs_from_env, prewarm, set_store, store_enabled, store_stats,
+    workload_fingerprint, Fnv128, TraceCacheStats, TraceMode,
 };

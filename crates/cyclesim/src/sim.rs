@@ -47,7 +47,7 @@
 //! Orthogonally to the engine choice, each processor draws its micro-events
 //! from a **feed** ([`SimOptions::trace`]): either a pre-compiled trace of
 //! resolved steps (the default — see the [`crate::trace`] module for the
-//! compiler, the parallel compile stage and the cross-sweep cache) or the
+//! compiler, the parallel compile stage and the trace namespace) or the
 //! original on-the-fly segment cursor plus live cache. All four
 //! engine × feed combinations produce identical reports, which
 //! `tests/differential.rs` pins against the cursor-fed ticker.
@@ -72,8 +72,8 @@ pub struct SimOptions {
     /// event-skipping one. The two produce identical reports; the ticker is
     /// kept as the differential-testing oracle and perf baseline.
     pub reference_ticker: bool,
-    /// Where micro-events come from: compiled (and cross-sweep cached)
-    /// traces, or the on-the-fly cursor. The feeds produce identical
+    /// Where micro-events come from: compiled (and memoized per content
+    /// key) traces, or the on-the-fly cursor. The feeds produce identical
     /// reports; compiled is the fast default.
     pub trace: TraceMode,
 }
@@ -336,7 +336,7 @@ impl SkipObs {
 }
 
 /// Builds the per-task feeds with decorrelated pacing seeds: compiled
-/// traces (via the cross-sweep cache) under [`TraceMode::Compiled`], with a
+/// traces (via the trace namespace) under [`TraceMode::Compiled`], with a
 /// per-task cursor fallback for traces past the step cap.
 fn make_feeds<'w>(
     workload: &'w Workload,

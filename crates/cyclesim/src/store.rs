@@ -1,15 +1,23 @@
-//! Persistent, cross-process store: one content-addressed on-disk format
-//! for every cache that outlives a process.
+//! Content-addressed, cross-process cache: one lookup path and one on-disk
+//! format for every value worth keeping beyond one computation.
 //!
-//! Each client of the store defines a [`Namespace`] of its own — a
-//! `static` naming its directory's environment variable, its file
-//! extension, its header tag and its obs metric prefix — and hands the
-//! store an opaque byte payload that it encodes and validates itself. The
-//! workspace has two: compiled task traces (`mesh_cyclesim::trace`) and
-//! memoized evaluation results (`mesh_bench::memo`).
+//! Each client defines a [`Namespace`] `static` of its own (value type,
+//! directory variable, file extension, header tag, obs prefix, memory
+//! budget) and resolves values through one call,
+//! [`Namespace::get_or_compute`]: memory tier, then directory, then the
+//! caller's computation, whose result fills both. Payloads are opaque bytes
+//! the client encodes and validates. The workspace has two namespaces:
+//! compiled task traces (`mesh_cyclesim::trace`) and memoized evaluation
+//! results (`mesh_bench::memo`).
 //!
-//! Every namespace shares everything below the payload:
-//!
+//! * **Memory tier.** Each namespace keeps an in-process LRU map from key
+//!   to value, bounded by a budget in the value type's own cost units
+//!   (steps for traces, entries for results). A value costlier than the
+//!   whole budget is returned but not retained. Concurrent lookups of one
+//!   key are single-flighted: one caller loads or computes it while the
+//!   others wait and then read it from memory, so a process resolves each
+//!   key once. A panicking computation still lands its flight; the
+//!   waiters then resolve the key themselves.
 //! * **Content addressing.** An entry lives at `<dir>/<key>.<ext>`, where
 //!   `key` is a 128-bit fingerprint of everything that determines the
 //!   payload. Identical inputs resolve to identical files no matter which
@@ -26,10 +34,10 @@
 //!   data.
 //! * **Atomic publication.** A writer serializes to a unique
 //!   `.tmp-<pid>-<seq>-<key>` sibling and `rename`s it into place, so a
-//!   complete file is all a concurrent reader can ever observe. Writers
-//!   are not coordinated: racing processes may compute one key twice, and
-//!   each renames identical bytes over the other. That is waste, never a
-//!   hazard.
+//!   complete file is all a concurrent reader can ever observe. Writers in
+//!   different processes are not coordinated: they may compute one key
+//!   twice, and each renames identical bytes over the other. That is
+//!   waste, never a hazard.
 //! * **Size-budgeted GC.** Each directory is bounded by
 //!   `MESH_TRACE_STORE_BYTES` (default 2 GiB). A process scans a directory
 //!   at its first publish there and again after each further sixteenth of
@@ -40,16 +48,18 @@
 //!
 //! Reads go through the ordinary buffered page cache (`fs::read`) — the
 //! crate-wide `forbid(unsafe_code)` rules out `mmap`, and a warm page-cache
-//! read is already far cheaper than the work it replaces. Loads, misses,
-//! publishes, quarantines and evictions mirror into obs counters under the
-//! namespace's prefix (`<prefix>.hits`, `.misses`, `.publishes`,
-//! `.quarantined`, `.gc_removed`, and the `.load_ns` span).
+//! read is already far cheaper than the work it replaces. Every tier
+//! mirrors into obs counters under the namespace's prefix: `<prefix>.hits`,
+//! `.misses`, `.publishes`, `.quarantined` and `.gc_removed` for the
+//! directory (with the `.load_ns` span), `.memory_hits` and `.evictions`
+//! for the memory tier, and `.computes` for the caller's computations.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime};
 
 /// Environment variable bounding each store directory's entry bytes
@@ -76,70 +86,242 @@ const GC_SLICES: u64 = 16;
 const STALE_TMP: Duration = Duration::from_secs(60);
 
 /// `None` = not resolved yet; `Some(None)` = disabled; `Some(Some(_))` = on.
-type ConfigCell = Mutex<Option<Option<Arc<Store>>>>;
+type ConfigCell<T> = Mutex<Option<Option<Arc<Store<T>>>>>;
+
+/// A value a [`Namespace`] holds: what its memory tier retains and its
+/// directory stores.
+pub trait Value: Clone + Send + Sync + 'static {
+    /// The value's weight against the namespace's memory budget.
+    fn cost(&self) -> usize;
+    /// The value's store payload, or `None` for a value that is never
+    /// published (a negative entry).
+    fn payload(&self) -> Option<Vec<u8>>;
+}
+
+/// Where [`Namespace::get_or_compute`] found its value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// The namespace's memory tier.
+    Memory,
+    /// A valid entry of the namespace's directory.
+    Disk,
+    /// The caller's computation.
+    Computed,
+}
 
 /// One key space of the store, defined as a `static` by the module that
-/// owns its payload. Each namespace has its own directory, configuration
-/// and counters; all share the on-disk format.
-pub struct Namespace {
+/// owns its values. Each namespace has its own memory tier, directory,
+/// configuration and counters; all share the on-disk format.
+pub struct Namespace<T: 'static> {
     tag: u32,
     env: &'static str,
     extension: &'static str,
     obs_prefix: &'static str,
-    config: ConfigCell,
-    counters: [AtomicU64; STATS],
+    /// Memory-tier budget, in the values' cost units.
+    budget: usize,
+    config: ConfigCell<T>,
+    memory: Mutex<Memory<T>>,
+    /// Signalled whenever a flight lands.
+    landed: Condvar,
+    counters: [AtomicU64; STAT_NAMES.len()],
 }
 
-// Names the namespace by its variable only: the config cell holds a `Store`
-// that points back here.
-impl std::fmt::Debug for Namespace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.env)
+/// The memory tier of one namespace.
+struct Memory<T> {
+    /// key → (last-use stamp, value).
+    entries: BTreeMap<u128, (u64, T)>,
+    clock: u64,
+    /// Summed cost of the retained values.
+    resident: usize,
+    /// Keys some caller is loading or computing right now.
+    flights: BTreeSet<u128>,
+}
+
+impl<T: Value> Memory<T> {
+    fn get(&mut self, key: u128) -> Option<T> {
+        let (stamp, value) = self.entries.get_mut(&key)?;
+        self.clock += 1;
+        *stamp = self.clock;
+        Some(value.clone())
+    }
+
+    /// Inserts (or replaces) `key`, evicting least-recently-used entries
+    /// until the resident cost fits `budget`; returns how many it evicted.
+    /// A value costlier than the whole budget is not retained.
+    fn insert(&mut self, key: u128, value: T, budget: usize) -> u64 {
+        if let Some((_, old)) = self.entries.remove(&key) {
+            self.resident -= old.cost();
+        }
+        let cost = value.cost();
+        if cost > budget {
+            return 0;
+        }
+        let mut evicted = 0;
+        while self.resident + cost > budget {
+            let Some((&oldest, _)) = self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp)
+            else {
+                break;
+            };
+            let (_, old) = self.entries.remove(&oldest).expect("just found");
+            self.resident -= old.cost();
+            evicted += 1;
+        }
+        self.clock += 1;
+        self.entries.insert(key, (self.clock, value));
+        self.resident += cost;
+        evicted
     }
 }
 
-impl Namespace {
+/// A key's flight: lands when dropped — on return *and* on unwind, so a
+/// panicking computation never strands the callers waiting for it.
+struct Flight<T: 'static> {
+    ns: &'static Namespace<T>,
+    key: u128,
+}
+
+impl<T: 'static> Drop for Flight<T> {
+    fn drop(&mut self) {
+        let mut memory = self
+            .ns
+            .memory
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        memory.flights.remove(&self.key);
+        self.ns.landed.notify_all();
+    }
+}
+
+impl<T: Value> Namespace<T> {
     /// A namespace whose header tag is `tag` (distinct per namespace),
     /// whose directory is named by the environment variable `env`, whose
-    /// entries are `<key>.<extension>` files, and whose obs metrics are
-    /// named `<obs_prefix>.<stat>`.
+    /// entries are `<key>.<extension>` files, whose obs metrics are named
+    /// `<obs_prefix>.<stat>`, and whose memory tier retains values of at
+    /// most `budget` summed [`Value::cost`].
     pub const fn new(
         tag: u32,
         env: &'static str,
         extension: &'static str,
         obs_prefix: &'static str,
-    ) -> Namespace {
+        budget: usize,
+    ) -> Namespace<T> {
         Namespace {
             tag,
             env,
             extension,
             obs_prefix,
+            budget,
             config: Mutex::new(None),
-            counters: [const { AtomicU64::new(0) }; STATS],
+            memory: Mutex::new(Memory {
+                entries: BTreeMap::new(),
+                clock: 0,
+                resident: 0,
+                flights: BTreeSet::new(),
+            }),
+            landed: Condvar::new(),
+            counters: [const { AtomicU64::new(0) }; STAT_NAMES.len()],
         }
+    }
+
+    /// The value of `key`: from the memory tier, else from the directory
+    /// (its checked payload handed to `decode`; `None` rejects it as
+    /// corrupt), else `compute()`, published to the directory when one is
+    /// configured. Loaded and computed values are retained in memory.
+    /// Concurrent callers of one key are single-flighted: they wait for the
+    /// first and read its value from memory. If the first panics (or its
+    /// value is too costly to retain), the next resolves the key itself.
+    pub fn get_or_compute(
+        &'static self,
+        key: u128,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+        compute: impl FnOnce() -> T,
+    ) -> (T, Origin) {
+        let mut memory = self.memory();
+        let _flight = loop {
+            if let Some(value) = memory.get(key) {
+                drop(memory);
+                self.bump(Stat::MemoryHits, 1);
+                return (value, Origin::Memory);
+            }
+            if memory.flights.insert(key) {
+                break Flight { ns: self, key };
+            }
+            // Another caller is resolving the key: wait for it to land,
+            // then look again.
+            memory = self
+                .landed
+                .wait(memory)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(memory);
+        let store = self.configured();
+        if let Some(value) = store.as_ref().and_then(|s| s.load(key, decode)) {
+            self.retain(key, &value);
+            return (value, Origin::Disk);
+        }
+        self.bump(Stat::Computes, 1);
+        let value = compute();
+        if let Some(store) = store {
+            if let Some(payload) = value.payload() {
+                store.publish(key, &payload);
+            }
+        }
+        self.retain(key, &value);
+        (value, Origin::Computed)
+    }
+
+    /// Publishes `compute()` under `key` unless the directory already holds
+    /// an entry of this format version for it, without reading or filling
+    /// the memory tier. A no-op when the namespace has no directory.
+    pub fn ensure_published(&'static self, key: u128, compute: impl FnOnce() -> T) {
+        let Some(store) = self.configured() else {
+            return;
+        };
+        if store.contains(key) {
+            return;
+        }
+        self.bump(Stat::Computes, 1);
+        if let Some(payload) = compute().payload() {
+            store.publish(key, &payload);
+        }
+    }
+
+    /// Drops every value of the memory tier (the counters are kept).
+    pub fn clear_memory(&self) {
+        let mut memory = self.memory();
+        memory.entries.clear();
+        memory.resident = 0;
+    }
+
+    fn memory(&self) -> MutexGuard<'_, Memory<T>> {
+        self.memory.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn retain(&self, key: u128, value: &T) {
+        let evicted = self.memory().insert(key, value.clone(), self.budget);
+        self.bump(Stat::Evictions, evicted);
+    }
+
+    /// Whether the namespace has a directory (via its environment variable
+    /// or [`configure`](Namespace::configure)).
+    pub fn enabled(&'static self) -> bool {
+        self.configured().is_some()
     }
 
     /// This namespace's store (resolving its environment variable on first
-    /// use), or `None` when the namespace is disabled.
-    pub fn configured(&'static self) -> Option<Arc<Store>> {
+    /// use), or `None` when it has no directory.
+    fn configured(&'static self) -> Option<Arc<Store<T>>> {
         let mut cell = self.config.lock().expect("store config poisoned");
-        if cell.is_none() {
-            *cell = Some(self.open_from_env());
-        }
-        cell.as_ref().expect("just resolved").clone()
-    }
-
-    fn open_from_env(&'static self) -> Option<Arc<Store>> {
-        let dir = std::env::var_os(self.env)?;
-        if dir.is_empty() {
-            return None;
-        }
-        Store::open(self, Path::new(&dir), budget_from_env())
+        cell.get_or_insert_with(|| {
+            let dir = std::env::var_os(self.env).filter(|d| !d.is_empty())?;
+            Store::open(self, Path::new(&dir), budget_from_env())
+        })
+        .clone()
     }
 
     /// Points this namespace at `dir` (created if needed) for the rest of
     /// the process, overriding its environment variable; `None` disables
-    /// it.
+    /// its directory. The memory tier is unaffected.
     pub fn configure(&'static self, dir: Option<&Path>) {
         self.configure_budgeted(dir, budget_from_env());
     }
@@ -150,31 +332,43 @@ impl Namespace {
         *self.config.lock().expect("store config poisoned") = Some(resolved);
     }
 
-    /// Snapshot of this namespace's counters since process start. All
-    /// zeros when it has never been enabled.
+    /// Snapshot of this namespace's counters since process start and of
+    /// its memory tier now.
     pub fn stats(&self) -> StoreStats {
         let get = |stat: Stat| self.counters[stat as usize].load(Ordering::Relaxed);
+        let memory = self.memory();
         StoreStats {
             hits: get(Stat::Hits),
             misses: get(Stat::Misses),
             publishes: get(Stat::Publishes),
             quarantined: get(Stat::Quarantined),
             gc_removed: get(Stat::GcRemoved),
+            memory_hits: get(Stat::MemoryHits),
+            computes: get(Stat::Computes),
+            evictions: get(Stat::Evictions),
+            entries: memory.entries.len(),
+            resident: memory.resident,
         }
     }
 
-    fn bump(&self, stat: Stat) {
-        self.counters[stat as usize].fetch_add(1, Ordering::Relaxed);
+    fn bump(&self, stat: Stat, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counters[stat as usize].fetch_add(n, Ordering::Relaxed);
         if mesh_obs::enabled() {
-            mesh_obs::counter(&format!("{}.{}", self.obs_prefix, stat.name())).inc();
+            mesh_obs::counter(&format!(
+                "{}.{}",
+                self.obs_prefix, STAT_NAMES[stat as usize]
+            ))
+            .add(n);
         }
     }
 }
 
 /// One configured store directory of one namespace.
-#[derive(Debug)]
-pub struct Store {
-    ns: &'static Namespace,
+struct Store<T: 'static> {
+    ns: &'static Namespace<T>,
     dir: PathBuf,
     budget: u64,
     /// Bytes this process published here since its last GC scan.
@@ -200,6 +394,7 @@ fn budget_from_env() -> u64 {
 // Statistics.
 // ---------------------------------------------------------------------------
 
+/// One counter of a namespace, named in obs by [`STAT_NAMES`].
 #[derive(Clone, Copy)]
 enum Stat {
     Hits,
@@ -207,28 +402,29 @@ enum Stat {
     Publishes,
     Quarantined,
     GcRemoved,
+    MemoryHits,
+    Computes,
+    Evictions,
 }
 
-const STATS: usize = 5;
+const STAT_NAMES: [&str; 8] = [
+    "hits",
+    "misses",
+    "publishes",
+    "quarantined",
+    "gc_removed",
+    "memory_hits",
+    "computes",
+    "evictions",
+];
 
-impl Stat {
-    fn name(self) -> &'static str {
-        match self {
-            Stat::Hits => "hits",
-            Stat::Misses => "misses",
-            Stat::Publishes => "publishes",
-            Stat::Quarantined => "quarantined",
-            Stat::GcRemoved => "gc_removed",
-        }
-    }
-}
-
-/// Counters of one store namespace since process start.
+/// Counters of one store namespace since process start, and its memory
+/// tier's current size.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Loads served from a valid on-disk entry.
     pub hits: u64,
-    /// Lookups that found no (valid) entry.
+    /// Directory lookups that found no (valid) entry.
     pub misses: u64,
     /// Entries written and renamed into place.
     pub publishes: u64,
@@ -236,6 +432,16 @@ pub struct StoreStats {
     pub quarantined: u64,
     /// Entries evicted by the size-budget GC.
     pub gc_removed: u64,
+    /// Lookups served from the memory tier.
+    pub memory_hits: u64,
+    /// Values computed by callers (neither in memory nor on disk).
+    pub computes: u64,
+    /// Values evicted from the memory tier to stay within its budget.
+    pub evictions: u64,
+    /// Values the memory tier holds now.
+    pub entries: usize,
+    /// Summed cost of the values the memory tier holds now.
+    pub resident: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -272,15 +478,20 @@ enum DecodeError {
     Corrupt,
 }
 
-/// Checks the header of `bytes` against namespace `tag` and `key` and
-/// returns the checksummed payload.
-fn payload(tag: u32, key: u128, bytes: &[u8]) -> Result<&[u8], DecodeError> {
-    let header = bytes.get(..HEADER_LEN).ok_or(DecodeError::Corrupt)?;
+fn le4(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("4 bytes"))
+}
+
+fn le8(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8 bytes"))
+}
+
+/// Checks a [`HEADER_LEN`]-byte header's magic, format version, namespace
+/// `tag` and `key`.
+fn check_header(tag: u32, key: u128, header: &[u8]) -> Result<(), DecodeError> {
     if header[..4] != MAGIC {
         return Err(DecodeError::Corrupt);
     }
-    let le4 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
-    let le8 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
     if le4(&header[4..8]) != FORMAT_VERSION {
         return Err(DecodeError::WrongVersion);
     }
@@ -289,6 +500,14 @@ fn payload(tag: u32, key: u128, bytes: &[u8]) -> Result<&[u8], DecodeError> {
     {
         return Err(DecodeError::Corrupt);
     }
+    Ok(())
+}
+
+/// Checks the header of `bytes` against namespace `tag` and `key` and
+/// returns the checksummed payload.
+fn payload(tag: u32, key: u128, bytes: &[u8]) -> Result<&[u8], DecodeError> {
+    let header = bytes.get(..HEADER_LEN).ok_or(DecodeError::Corrupt)?;
+    check_header(tag, key, header)?;
     let payload = &bytes[HEADER_LEN..];
     if le8(&header[28..36]) != payload.len() as u64 || fnv64(payload) != le8(&header[36..44]) {
         return Err(DecodeError::Corrupt);
@@ -303,10 +522,10 @@ fn payload(tag: u32, key: u128, bytes: &[u8]) -> Result<&[u8], DecodeError> {
 /// Disambiguates the temp files of concurrent publishes within a process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-impl Store {
+impl<T: Value> Store<T> {
     /// Opens (creating if needed) a store directory for namespace `ns`.
     /// `None`, with a warning on stderr, when the directory is unusable.
-    fn open(ns: &'static Namespace, dir: &Path, budget: u64) -> Option<Arc<Store>> {
+    fn open(ns: &'static Namespace<T>, dir: &Path, budget: u64) -> Option<Arc<Store<T>>> {
         if let Err(e) = fs::create_dir_all(dir) {
             eprintln!(
                 "mesh-cyclesim: {} directory {} is unusable ({e}); disabled",
@@ -334,20 +553,26 @@ impl Store {
         self.dir.join(format!("{key:032x}.quarantined"))
     }
 
-    /// Whether an entry file for `key` exists. Existence only — a corrupt
-    /// file is quarantined by its first actual reader — so a pre-warming
-    /// parent can skip published entries without reading them.
-    pub(crate) fn contains(&self, key: u128) -> bool {
-        self.entry_path(key).exists()
+    /// Whether an entry for `key` of this format version and namespace is
+    /// published. Only the header is read — a corrupt payload is
+    /// quarantined by its first actual reader — so a pre-warming parent can
+    /// skip published entries cheaply, yet still replaces entries an older
+    /// format version left behind.
+    fn contains(&self, key: u128) -> bool {
+        let mut header = [0u8; HEADER_LEN];
+        fs::File::open(self.entry_path(key))
+            .and_then(|mut f| f.read_exact(&mut header))
+            .is_ok()
+            && check_header(self.ns.tag, key, &header).is_ok()
     }
 
     /// Loads the entry for `key`, handing its checked payload to `decode`.
     /// Returns `None` on a miss; an entry that fails its checks, or whose
     /// payload `decode` rejects, is quarantined first.
-    pub fn load<T>(&self, key: u128, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+    fn load(&self, key: u128, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
         let path = self.entry_path(key);
         let Ok(bytes) = fs::read(&path) else {
-            self.ns.bump(Stat::Misses);
+            self.ns.bump(Stat::Misses, 1);
             return None;
         };
         let _span =
@@ -356,7 +581,7 @@ impl Store {
             payload(self.ns.tag, key, &bytes).and_then(|p| decode(p).ok_or(DecodeError::Corrupt));
         match decoded {
             Ok(value) => {
-                self.ns.bump(Stat::Hits);
+                self.ns.bump(Stat::Hits, 1);
                 Some(value)
             }
             Err(e) => {
@@ -366,9 +591,9 @@ impl Store {
                     if fs::rename(&path, self.quarantine_path(key)).is_err() {
                         let _ = fs::remove_file(&path);
                     }
-                    self.ns.bump(Stat::Quarantined);
+                    self.ns.bump(Stat::Quarantined, 1);
                 }
-                self.ns.bump(Stat::Misses);
+                self.ns.bump(Stat::Misses, 1);
                 None
             }
         }
@@ -378,7 +603,7 @@ impl Store {
     /// place). Returns whether the entry was published; failure (full
     /// disk, permissions) is never an error — publication is an
     /// optimization, not a correctness requirement.
-    pub fn publish(&self, key: u128, payload: &[u8]) -> bool {
+    fn publish(&self, key: u128, payload: &[u8]) -> bool {
         let bytes = encode(self.ns.tag, key, payload);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}-{key:032x}",
@@ -394,7 +619,7 @@ impl Store {
             let _ = fs::remove_file(&tmp);
             return false;
         }
-        self.ns.bump(Stat::Publishes);
+        self.ns.bump(Stat::Publishes, 1);
         let len = bytes.len() as u64;
         let pending = self.unscanned.fetch_add(len, Ordering::Relaxed) + len;
         if pending >= self.budget / GC_SLICES {
@@ -444,7 +669,7 @@ impl Store {
             }
             if fs::remove_file(&path).is_ok() {
                 total -= len;
-                self.ns.bump(Stat::GcRemoved);
+                self.ns.bump(Stat::GcRemoved, 1);
             }
         }
     }
@@ -456,11 +681,27 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
-    // Two namespaces shaped like the workspace's traces and results.
-    static TRACES: Namespace = Namespace::new(1, "STORE_TEST_TRACES", "trace", "test.traces");
-    static RESULTS: Namespace = Namespace::new(2, "STORE_TEST_RESULTS", "res", "test.results");
+    /// A test value: its payload bytes, weighing one cost unit per byte.
+    impl Value for Vec<u8> {
+        fn cost(&self) -> usize {
+            self.len()
+        }
 
-    fn temp_store(ns: &'static Namespace, tag: &str) -> Arc<Store> {
+        fn payload(&self) -> Option<Vec<u8>> {
+            Some(self.clone())
+        }
+    }
+
+    // Two namespaces shaped like the workspace's traces (a budget of many
+    // cost units, big values) and results (a budget of a few small ones).
+    // Neither names a directory in the environment, so only the tests that
+    // open one touch the disk.
+    static TRACES: Namespace<Vec<u8>> =
+        Namespace::new(1, "STORE_TEST_TRACES", "trace", "test.traces", 250);
+    static RESULTS: Namespace<Vec<u8>> =
+        Namespace::new(2, "STORE_TEST_RESULTS", "res", "test.results", 10);
+
+    fn temp_store(ns: &'static Namespace<Vec<u8>>, tag: &str) -> Arc<Store<Vec<u8>>> {
         let dir =
             std::env::temp_dir().join(format!("mesh-store-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -471,7 +712,7 @@ mod tests {
         Some(p.to_vec())
     }
 
-    fn both() -> [&'static Namespace; 2] {
+    fn both() -> [&'static Namespace<Vec<u8>>; 2] {
         [&TRACES, &RESULTS]
     }
 
@@ -585,13 +826,51 @@ mod tests {
             assert!(!path.exists());
             // A payload the caller's decoder rejects is corruption too.
             assert!(store.publish(98, b"not a number"));
-            let parsed = store.load(98, |p| std::str::from_utf8(p).ok()?.parse::<u64>().ok());
+            let parsed = store.load(98, |p| {
+                std::str::from_utf8(p).ok()?.parse::<u64>().ok()?;
+                Some(p.to_vec())
+            });
             assert_eq!(parsed, None);
             assert!(store.quarantine_path(98).exists());
             // Recomputing re-publishes a valid entry.
             assert!(store.publish(99, b"0123456789abcdef"));
             assert_eq!(store.load(99, bytes_of), Some(b"0123456789abcdef".to_vec()));
             let _ = fs::remove_dir_all(&store.dir);
+        }
+    }
+
+    #[test]
+    fn memory_tier_is_a_budgeted_lru() {
+        // Both namespaces hold ten units of their own cost.
+        for (ns, unit) in [(&TRACES, 25), (&RESULTS, 1)] {
+            let get = |key: u128, units: usize| {
+                ns.get_or_compute(key, |_| None, || vec![7u8; units * unit])
+                    .1
+            };
+            let resident = || ns.stats().resident / unit;
+            assert_eq!(get(1, 6), Origin::Computed);
+            assert_eq!(get(2, 3), Origin::Computed);
+            assert_eq!(resident(), 9);
+            // Using key 1 leaves key 2 least recently used...
+            assert_eq!(get(1, 6), Origin::Memory);
+            // ...so making room for key 3 evicts key 2, not key 1.
+            assert_eq!(get(3, 4), Origin::Computed);
+            assert_eq!(resident(), 10);
+            assert_eq!(get(1, 6), Origin::Memory);
+            assert_eq!(get(2, 3), Origin::Computed, "evicted, so recomputed");
+            assert_eq!(get(1, 6), Origin::Memory, "key 3 went instead");
+            assert_eq!(resident(), 9);
+            // A value costlier than the whole budget is returned, not
+            // retained, and evicts nothing.
+            assert_eq!(get(4, 11), Origin::Computed);
+            assert_eq!(get(4, 11), Origin::Computed);
+            assert_eq!(resident(), 9);
+            // Re-inserting a key replaces it without double counting.
+            ns.retain(2, &vec![7u8; unit]);
+            assert_eq!(resident(), 7);
+            assert_eq!((ns.stats().entries, ns.stats().evictions), (2, 2));
+            ns.clear_memory();
+            assert_eq!((ns.stats().entries, resident()), (0, 0));
         }
     }
 

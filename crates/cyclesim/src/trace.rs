@@ -21,20 +21,23 @@
 //! * a `TaskTrace` stores the steps in fixed-size chunks, so compiling
 //!   never needs one giant contiguous allocation and consuming streams
 //!   through memory chunk by chunk;
-//! * compilation of a workload's tasks is parallel ([`std::thread::scope`]
-//!   workers over a shared atomic index, worker count from the sweep
-//!   engine's `MESH_BENCH_JOBS` convention);
-//! * compiled traces live in a process-wide **cross-sweep cache** keyed by
-//!   a stable content hash of the segments, the processor's timing digest
-//!   ([`mesh_arch::ProcConfig::digest_words`]) and the derived pacing seed.
-//!   fig4/fig5-style grids that revisit the same per-processor streams
-//!   (they vary cache size and processor count, not the programs) compile
-//!   each distinct trace exactly once per process.
+//! * traces resolve through the store's trace namespace
+//!   ([`crate::store::Namespace`]), keyed by a stable content hash of the
+//!   segments, the processor's timing digest
+//!   ([`mesh_arch::ProcConfig::digest_words`]) and the derived pacing seed:
+//!   its memory tier first, then the `MESH_TRACE_STORE` directory, then a
+//!   compile. fig4/fig5-style grids that revisit the same per-processor
+//!   streams (they vary cache size and processor count, not the programs)
+//!   compile each distinct trace exactly once per process, even when
+//!   parallel sweep points ask for it at the same time;
+//! * a workload's distinct keys resolve in parallel ([`std::thread::scope`]
+//!   workers over a shared atomic index, worker count from
+//!   [`jobs_from_env`], the sweep engine's `MESH_BENCH_JOBS`).
 //!
 //! Memory stays bounded: a single task's trace is capped at 4 Mi steps
-//! (beyond it the engines fall back to the on-the-fly cursor and the cap is
-//! negative-cached), and the cache evicts oldest-first beyond 8 Mi resident
-//! steps.
+//! (beyond it the engines fall back to the on-the-fly cursor and the
+//! verdict is kept in memory as a negative entry), and the memory tier
+//! evicts least-recently-used traces beyond 8 Mi resident steps.
 //!
 //! Exactness is proven the same way the event-skipping engine's is:
 //! `tests/differential.rs` pins trace-fed runs of both engines to
@@ -43,27 +46,20 @@
 //! pacing/arbitration/barrier/I/O/error space.
 
 use crate::cursor::{derived_pacing, Item, Pacing, TaskCursor};
-use crate::store::{Namespace, StoreStats};
+use crate::store::{Namespace, Origin, StoreStats, Value};
 use mesh_arch::{Cache, MachineConfig, ProcConfig};
 use mesh_workloads::{Segment, Workload};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// Worker-count variable shared with `mesh_bench::sweep` (this crate cannot
-/// depend on the bench harness, so the name is duplicated by convention).
-const JOBS_ENV: &str = "MESH_BENCH_JOBS";
+use std::sync::{Arc, Once};
 
 /// Cap on one task's compiled trace, in steps (≈ 128 MiB). Tasks beyond it
-/// fall back to the on-the-fly cursor; the verdict is negative-cached so
-/// the compile cost is paid once.
+/// fall back to the on-the-fly cursor; the verdict is kept in memory so the
+/// compile cost is paid once.
 const MAX_STEPS: usize = 4 << 20;
 
-/// Budget of the cross-sweep cache's resident steps across all entries
-/// (≈ 256 MiB). Oldest entries are evicted first when an insert would
-/// exceed it.
+/// Budget of the trace namespace's memory tier, in resident steps across
+/// all traces (≈ 256 MiB). Least-recently-used traces are evicted first
+/// when an insert would exceed it.
 const CACHE_STEPS: usize = 8 << 20;
 
 /// Steps per storage chunk: large enough that chunk-boundary checks vanish
@@ -74,7 +70,7 @@ const CHUNK_STEPS: usize = 8192;
 /// Which feed the engines draw micro-events from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceMode {
-    /// Compile each task's trace up front (through the cross-sweep cache)
+    /// Compile each task's trace up front (through the trace namespace)
     /// and feed both engines pre-resolved steps. The default.
     #[default]
     Compiled,
@@ -299,8 +295,10 @@ pub(crate) fn compile(
 /// 128-bit FNV-1a over the std `Hash` protocol: a stable, process-portable
 /// content hash (std's default hasher is randomly keyed per process, which
 /// would defeat deterministic keying). 128 bits make accidental collisions
-/// across a sweep's handful of distinct workloads negligible.
-struct Fnv128(u128);
+/// across a sweep's handful of distinct workloads negligible. Every
+/// content key and fingerprint of the workspace folds through it.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv128(u128);
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -312,7 +310,8 @@ impl Default for Fnv128 {
 }
 
 impl Fnv128 {
-    fn finish128(&self) -> u128 {
+    /// The full 128-bit hash of everything written so far.
+    pub fn finish128(&self) -> u128 {
         self.0
     }
 }
@@ -330,7 +329,7 @@ impl Hasher for Fnv128 {
     }
 }
 
-/// The cross-sweep cache key: everything [`compile`] reads. The segments
+/// The trace namespace key: everything [`compile`] reads. The segments
 /// hash through their derived `Hash` impls; the processor contributes its
 /// timing digest words (power bits, cache geometry, hit cost); the pacing
 /// is the *derived* per-processor policy, so two processors sharing a seed
@@ -351,104 +350,9 @@ fn trace_key(segments: &[Segment], proc: ProcConfig, pacing: Pacing) -> u128 {
     h.finish128()
 }
 
-// ---------------------------------------------------------------------------
-// The process-wide cross-sweep cache.
-// ---------------------------------------------------------------------------
-
-enum CacheEntry {
-    Compiled(Arc<TaskTrace>),
-    /// The task exceeded the step cap; don't retry the compile.
-    TooLarge,
-}
-
-impl CacheEntry {
-    fn steps(&self) -> usize {
-        match self {
-            CacheEntry::Compiled(t) => t.steps(),
-            CacheEntry::TooLarge => 0,
-        }
-    }
-}
-
-#[derive(Default)]
-struct TraceCache {
-    map: HashMap<u128, CacheEntry>,
-    /// Insertion order, for oldest-first eviction.
-    order: VecDeque<u128>,
-    resident_steps: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    /// Lookups that resolved to a negative (too-large) entry, sending the
-    /// engines to the on-the-fly cursor fallback.
-    fallbacks: u64,
-}
-
-impl TraceCache {
-    /// Inserts (or replaces) an entry, evicting oldest-first until the
-    /// resident total fits `budget`. An entry larger than the whole budget
-    /// is not retained at all — the caller still gets its `Arc`.
-    fn insert(&mut self, key: u128, entry: CacheEntry, budget: usize) {
-        if let Some(old) = self.map.remove(&key) {
-            self.resident_steps -= old.steps();
-            self.order.retain(|k| *k != key);
-        }
-        let steps = entry.steps();
-        if steps > budget {
-            return;
-        }
-        while self.resident_steps + steps > budget {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = self.map.remove(&oldest) {
-                self.resident_steps -= evicted.steps();
-                self.evictions += 1;
-            }
-        }
-        self.resident_steps += steps;
-        self.order.push_back(key);
-        self.map.insert(key, entry);
-    }
-}
-
-fn global() -> MutexGuard<'static, TraceCache> {
-    static CACHE: OnceLock<Mutex<TraceCache>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| Mutex::new(TraceCache::default()))
-        .lock()
-        .expect("trace cache poisoned")
-}
-
-/// Compile worker count: `MESH_BENCH_JOBS` if set to a positive integer,
-/// else available parallelism — the sweep engine's convention.
-fn jobs_from_env() -> usize {
-    match std::env::var(JOBS_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_jobs(),
-        },
-        Err(_) => default_jobs(),
-    }
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Returns the compiled trace of every task (index-aligned), consulting and
-/// populating the cross-sweep cache; `None` marks a task past the step cap
-/// (the engines fall back to its on-the-fly cursor). Distinct uncached keys
-/// compile in parallel.
-pub(crate) fn compiled_for(
-    workload: &Workload,
-    machine: &MachineConfig,
-    pacing: Pacing,
-) -> Vec<Option<Arc<TaskTrace>>> {
-    let n = workload.tasks.len();
-    let keys: Vec<u128> = (0..n)
+/// The trace key of every task of the workload, index-aligned.
+fn task_keys(workload: &Workload, machine: &MachineConfig, pacing: Pacing) -> Vec<u128> {
+    (0..workload.tasks.len())
         .map(|i| {
             trace_key(
                 &workload.tasks[i].segments,
@@ -456,154 +360,141 @@ pub(crate) fn compiled_for(
                 derived_pacing(pacing, i),
             )
         })
-        .collect();
-    let mut out: Vec<Option<Arc<TaskTrace>>> = (0..n).map(|_| None).collect();
-    // First task index per distinct key still to compile.
-    let mut missing: Vec<usize> = Vec::new();
-    // Per-call deltas mirrored into the mesh-obs registry after the lock
-    // drops, so the observability flush never holds the cache mutex.
-    let (mut d_hits, mut d_misses, mut d_fallbacks, mut d_evictions) = (0u64, 0u64, 0u64, 0u64);
-    {
-        let mut cache = global();
-        for i in 0..n {
-            match cache.map.get(&keys[i]) {
-                Some(CacheEntry::Compiled(t)) => {
-                    out[i] = Some(Arc::clone(t));
-                    cache.hits += 1;
-                    d_hits += 1;
-                }
-                Some(CacheEntry::TooLarge) => {
-                    cache.hits += 1;
-                    cache.fallbacks += 1;
-                    d_hits += 1;
-                    d_fallbacks += 1;
-                }
-                None => {
-                    cache.misses += 1;
-                    d_misses += 1;
-                    if !missing.iter().any(|&j| keys[j] == keys[i]) {
-                        missing.push(i);
-                    }
-                }
-            }
-        }
-    }
-    if missing.is_empty() {
-        flush_cache_obs(d_hits, d_misses, d_fallbacks, d_evictions);
-        return out;
-    }
+        .collect()
+}
 
-    let compiled = {
-        let _span = mesh_obs::span("cyclesim.compile_ns");
-        compile_parallel(&missing, &keys, workload, machine, pacing)
+// ---------------------------------------------------------------------------
+// Resolution through the trace namespace.
+// ---------------------------------------------------------------------------
+
+/// Worker-count variable of parallel trace compilation, shared with the
+/// sweep engine (`mesh_bench::sweep` re-exports it).
+pub const JOBS_ENV: &str = "MESH_BENCH_JOBS";
+
+/// The worker count of parallel sweeps and trace compilation: [`JOBS_ENV`]
+/// if set to a positive integer, else the host's available parallelism.
+/// An invalid value is reported on stderr (once per process).
+///
+/// # Examples
+///
+/// ```
+/// // With MESH_BENCH_JOBS unset this is the host's core count.
+/// assert!(mesh_cyclesim::jobs_from_env() >= 1);
+/// ```
+pub fn jobs_from_env() -> usize {
+    let default = || {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     };
-
-    let mut cache = global();
-    let evictions_before = cache.evictions;
-    for (&i, trace) in missing.iter().zip(&compiled) {
-        let entry = match trace {
-            Some(t) => CacheEntry::Compiled(Arc::clone(t)),
-            None => {
-                cache.fallbacks += 1;
-                d_fallbacks += 1;
-                CacheEntry::TooLarge
+    match std::env::var(JOBS_ENV) {
+        Ok(value) => match value.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                static WARNED: Once = Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "mesh-cyclesim: ignoring invalid {JOBS_ENV}={value:?} (want a positive integer)"
+                    );
+                });
+                default()
             }
-        };
-        cache.insert(keys[i], entry, CACHE_STEPS);
-        if mesh_obs::enabled() {
+        },
+        Err(_) => default(),
+    }
+}
+
+/// Resolved trace of one task: `None` marks a task past the step cap (the
+/// engines fall back to its on-the-fly cursor). A negative entry is held in
+/// memory at no cost, so the compile is paid once, but never published.
+impl Value for Option<Arc<TaskTrace>> {
+    fn cost(&self) -> usize {
+        self.as_ref().map_or(0, |t| t.steps())
+    }
+
+    fn payload(&self) -> Option<Vec<u8>> {
+        self.as_deref().map(encode_steps)
+    }
+}
+
+/// Compiles task `i` of the workload for the trace namespace, counting the
+/// compile.
+fn compile_task(
+    workload: &Workload,
+    machine: &MachineConfig,
+    pacing: Pacing,
+    i: usize,
+) -> Option<Arc<TaskTrace>> {
+    if mesh_obs::enabled() {
+        mesh_obs::counter("cyclesim.trace.compiles").inc();
+    }
+    compile(
+        &workload.tasks[i].segments,
+        machine.procs[i],
+        derived_pacing(pacing, i),
+        MAX_STEPS,
+    )
+    .map(Arc::new)
+}
+
+/// Runs `resolve` once per distinct key of `keys` (on its first task), on
+/// up to [`jobs_from_env`] threads (the caller's included), and hands every
+/// task its key's result.
+fn per_distinct_key<R: Clone + Send>(keys: &[u128], resolve: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let firsts: Vec<usize> = (0..keys.len())
+        .filter(|&i| !keys[..i].contains(&keys[i]))
+        .collect();
+    let jobs = jobs_from_env().min(firsts.len()).max(1);
+    let share = |w: usize| -> Vec<(usize, R)> {
+        firsts
+            .iter()
+            .skip(w)
+            .step_by(jobs)
+            .map(|&i| (i, resolve(i)))
+            .collect()
+    };
+    let resolved: Vec<(usize, R)> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..jobs).map(|w| s.spawn(move || share(w))).collect();
+        let mut all = share(0);
+        for helper in helpers {
+            all.extend(helper.join().expect("trace compile worker panicked"));
+        }
+        all
+    });
+    keys.iter()
+        .map(|key| {
+            let (_, r) = resolved
+                .iter()
+                .find(|(i, _)| keys[*i] == *key)
+                .expect("resolved");
+            r.clone()
+        })
+        .collect()
+}
+
+/// Returns the compiled trace of every task (index-aligned), resolving each
+/// distinct key once through the trace namespace (memory, store, or a
+/// fresh compile); `None` marks a task past the step cap (the engines fall
+/// back to its on-the-fly cursor). Distinct keys resolve in parallel.
+pub(crate) fn compiled_for(
+    workload: &Workload,
+    machine: &MachineConfig,
+    pacing: Pacing,
+) -> Vec<Option<Arc<TaskTrace>>> {
+    let keys = task_keys(workload, machine, pacing);
+    per_distinct_key(&keys, |i| {
+        let (trace, origin) = TRACES.get_or_compute(keys[i], decode_trace, || {
+            let _span = mesh_obs::span("cyclesim.compile_ns");
+            compile_task(workload, machine, pacing, i)
+        });
+        if origin == Origin::Computed && mesh_obs::enabled() {
             // Fold freshly-compiled trace keys into the run manifest's
             // workload fingerprint (XOR fold: order-independent across
             // parallel sweep workers).
             mesh_obs::merge_fingerprint((keys[i] as u64) ^ ((keys[i] >> 64) as u64));
         }
-    }
-    d_evictions += cache.evictions - evictions_before;
-    drop(cache);
-    flush_cache_obs(d_hits, d_misses, d_fallbacks, d_evictions);
-    // Fill the remaining slots from the fresh compiles directly (an insert
-    // may already have been evicted; the Arcs stay valid regardless).
-    for i in 0..n {
-        if out[i].is_some() {
-            continue;
-        }
-        if let Some(k) = missing.iter().position(|&j| keys[j] == keys[i]) {
-            out[i] = compiled[k].clone();
-        }
-        // else: the key was negative-cached (TooLarge) before this call.
-    }
-    out
-}
-
-/// Mirrors one `compiled_for` call's trace-cache deltas into the mesh-obs
-/// registry. A no-op when observability is disabled or nothing happened.
-fn flush_cache_obs(hits: u64, misses: u64, fallbacks: u64, evictions: u64) {
-    if !mesh_obs::enabled() || hits + misses + fallbacks + evictions == 0 {
-        return;
-    }
-    mesh_obs::counter("cyclesim.trace_cache.hits").add(hits);
-    mesh_obs::counter("cyclesim.trace_cache.misses").add(misses);
-    mesh_obs::counter("cyclesim.trace_cache.fallbacks").add(fallbacks);
-    mesh_obs::counter("cyclesim.trace_cache.evictions").add(evictions);
-}
-
-/// Actual trace compiles performed by [`compiled_for`] since process start
-/// (store loads and in-memory hits don't count). Mirrored into the
-/// `cyclesim.trace.compiles` obs counter: a store-warm sweep reads zero.
-static COMPILES: AtomicU64 = AtomicU64::new(0);
-
-/// Resolves the given task indices (in-memory misses), spreading distinct
-/// tasks over scoped worker threads claiming from a shared atomic index.
-/// Each task goes through the persistent store when one is configured —
-/// load if published, else compile and publish ([`get_or_compile`]).
-fn compile_parallel(
-    missing: &[usize],
-    keys: &[u128],
-    workload: &Workload,
-    machine: &MachineConfig,
-    pacing: Pacing,
-) -> Vec<Option<Arc<TaskTrace>>> {
-    let compile_one = |i: usize| {
-        get_or_compile(keys[i], || {
-            COMPILES.fetch_add(1, Ordering::Relaxed);
-            if mesh_obs::enabled() {
-                mesh_obs::counter("cyclesim.trace.compiles").inc();
-            }
-            compile(
-                &workload.tasks[i].segments,
-                machine.procs[i],
-                derived_pacing(pacing, i),
-                MAX_STEPS,
-            )
-            .map(Arc::new)
-        })
-    };
-    let jobs = jobs_from_env().min(missing.len());
-    if jobs <= 1 {
-        return missing.iter().map(|&i| compile_one(i)).collect();
-    }
-    let slots: Vec<Mutex<Option<Option<Arc<TaskTrace>>>>> =
-        (0..missing.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= missing.len() {
-                    break;
-                }
-                let result = compile_one(missing[k]);
-                *slots[k].lock().expect("slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("worker filled every claimed slot")
-        })
-        .collect()
+        trace
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -615,8 +506,10 @@ fn compile_parallel(
 pub const STORE_ENV: &str = "MESH_TRACE_STORE";
 
 /// The store namespace of compiled traces: `<key>.trace` entries, obs
-/// counters `cyclesim.trace_store.*`.
-static TRACES: Namespace = Namespace::new(1, STORE_ENV, "trace", "cyclesim.trace_store");
+/// counters `cyclesim.trace_store.*`, and a memory tier of at most
+/// [`CACHE_STEPS`] resident steps.
+static TRACES: Namespace<Option<Arc<TaskTrace>>> =
+    Namespace::new(1, STORE_ENV, "trace", "cyclesim.trace_store", CACHE_STEPS);
 
 /// Points the trace store at `dir` (created if needed) for the rest of the
 /// process, overriding [`STORE_ENV`]; `None` disables it. The byte budget
@@ -634,10 +527,10 @@ pub fn set_store(dir: Option<&std::path::Path>, budget: Option<u64>) {
 /// The fabric parent uses this to decide whether pre-warming can benefit
 /// its worker processes at all.
 pub fn store_enabled() -> bool {
-    TRACES.configured().is_some()
+    TRACES.enabled()
 }
 
-/// Snapshot of the trace store's counters.
+/// Snapshot of the trace namespace's counters.
 pub fn store_stats() -> StoreStats {
     TRACES.stats()
 }
@@ -706,76 +599,56 @@ fn decode_steps(payload: &[u8]) -> Option<TaskTrace> {
     Some(TaskTrace::from_steps(steps))
 }
 
-/// The store-aware compile path: the trace for `key` from the persistent
-/// store if published and valid, else `compile_fn()`, published for other
-/// processes. With no store configured this is exactly `compile_fn()`.
-///
-/// `compile_fn` returning `None` (step cap exceeded) is propagated without
-/// publishing; a published trace over the cap yields the same verdict
-/// without a compile. Every caller negative-caches it in memory.
-fn get_or_compile(
-    key: u128,
-    compile_fn: impl FnOnce() -> Option<Arc<TaskTrace>>,
-) -> Option<Arc<TaskTrace>> {
-    let Some(store) = TRACES.configured() else {
-        return compile_fn();
-    };
-    if let Some(trace) = store.load(key, decode_steps) {
-        return (trace.steps() <= MAX_STEPS).then(|| Arc::new(trace));
-    }
-    let trace = compile_fn();
-    if let Some(t) = &trace {
-        store.publish(key, &encode_steps(t));
-    }
-    trace
+/// A store payload's trace, or `None` when the payload is not a valid
+/// trace (the store then quarantines the entry). A published trace over the
+/// step cap yields the same negative verdict a compile would.
+fn decode_trace(payload: &[u8]) -> Option<Option<Arc<TaskTrace>>> {
+    let trace = decode_steps(payload)?;
+    Some((trace.steps() <= MAX_STEPS).then(|| Arc::new(trace)))
 }
 
 // ---------------------------------------------------------------------------
 // Public instrumentation surface (used by perfsuite and tests).
 // ---------------------------------------------------------------------------
 
-/// Counters of the process-wide cross-sweep trace cache.
+/// Counters of the trace namespace's memory tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
-    /// Entries currently resident (including negative too-large markers).
+    /// Traces resident (including negative too-large markers).
     pub entries: usize,
     /// Total steps held by resident traces.
     pub resident_steps: usize,
-    /// Per-task lookups served from the cache since process start.
+    /// Distinct-key lookups served from memory since process start.
     pub hits: u64,
-    /// Per-task lookups that required a compile since process start.
+    /// Distinct-key lookups served from the store or a compile since
+    /// process start.
     pub misses: u64,
-    /// Entries evicted oldest-first to stay within the resident budget.
+    /// Traces evicted least-recently-used first to stay within the
+    /// resident budget.
     pub evictions: u64,
-    /// Lookups (or fresh compiles) that resolved to a too-large verdict,
-    /// sending the engines to the on-the-fly cursor fallback.
-    pub fallbacks: u64,
     /// Actual compiles performed. Always ≤ `misses`: with the persistent
     /// store warm, misses resolve by loading and this stays at zero.
+    /// Mirrored into the `cyclesim.trace.compiles` obs counter.
     pub compiles: u64,
 }
 
-/// Snapshot of the cross-sweep cache's counters.
+/// Snapshot of the trace namespace's memory-tier counters.
 pub fn cache_stats() -> TraceCacheStats {
-    let cache = global();
+    let s = TRACES.stats();
     TraceCacheStats {
-        entries: cache.map.len(),
-        resident_steps: cache.resident_steps,
-        hits: cache.hits,
-        misses: cache.misses,
-        evictions: cache.evictions,
-        fallbacks: cache.fallbacks,
-        compiles: COMPILES.load(Ordering::Relaxed),
+        entries: s.entries,
+        resident_steps: s.resident,
+        hits: s.memory_hits,
+        misses: s.hits + s.computes,
+        evictions: s.evictions,
+        compiles: s.computes,
     }
 }
 
-/// Drops every cached trace (the hit/miss counters are kept). Intended for
-/// benchmarks that need cold-compile timings.
+/// Drops every trace of the trace namespace's memory tier (the counters
+/// are kept). Intended for benchmarks that need cold-compile timings.
 pub fn clear_cache() {
-    let mut cache = global();
-    cache.map.clear();
-    cache.order.clear();
-    cache.resident_steps = 0;
+    TRACES.clear_memory();
 }
 
 /// A stable 128-bit fingerprint of everything trace compilation reads for
@@ -794,21 +667,15 @@ pub fn workload_fingerprint(workload: &Workload, machine: &MachineConfig, pacing
         "workload does not fit the machine"
     );
     let mut h = Fnv128::default();
-    for i in 0..workload.tasks.len() {
-        h.write_u128(trace_key(
-            &workload.tasks[i].segments,
-            machine.procs[i],
-            derived_pacing(pacing, i),
-        ));
+    for key in task_keys(workload, machine, pacing) {
+        h.write_u128(key);
     }
     h.finish128()
 }
 
-/// Resolves every task trace of the workload — in-memory cache, persistent
+/// Resolves every task trace of the workload — memory tier, persistent
 /// store, or fresh compile (published to the store when one is configured)
-/// — without running a simulation. The sweep fabric's parent calls this
-/// before spawning shard workers so each distinct workload is compiled once
-/// machine-wide instead of once per worker; perfsuite uses it to price
+/// — without running a simulation. perfsuite and perfbench use it to price
 /// cold-compile vs warm-load.
 ///
 /// A workload/machine pair the simulator would reject (more tasks than
@@ -822,45 +689,25 @@ pub fn prewarm(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
 
 /// Ensures every task trace of the workload is published in the persistent
 /// store **without** retaining any of them in this process's memory:
-/// already-published traces are left untouched (worker processes read them
-/// directly), absent ones are compiled in parallel and published. This is
-/// what a fabric parent wants before spawning shards — [`prewarm`] would
-/// additionally load every published trace into the parent's own cache,
-/// memory and time its workers cannot benefit from. A no-op without a
-/// configured store or for workload/machine pairings the simulator rejects.
+/// traces already published in this format are left untouched (worker
+/// processes read them directly), the others are compiled in parallel and
+/// published. This is what a fabric parent wants before spawning shards —
+/// [`prewarm`] would additionally load every published trace into the
+/// parent's own memory tier, memory and time its workers cannot benefit
+/// from. A no-op without a configured store or for workload/machine
+/// pairings the simulator rejects.
 pub fn ensure_stored(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
-    let Some(store) = TRACES.configured() else {
-        return;
-    };
-    if workload.tasks.len() > machine.procs.len() {
+    if !TRACES.enabled() || workload.tasks.len() > machine.procs.len() {
         return;
     }
-    let n = workload.tasks.len();
-    let keys: Vec<u128> = (0..n)
-        .map(|i| {
-            trace_key(
-                &workload.tasks[i].segments,
-                machine.procs[i],
-                derived_pacing(pacing, i),
-            )
-        })
-        .collect();
-    let mut missing: Vec<usize> = Vec::new();
-    for i in 0..n {
-        if !store.contains(keys[i]) && !missing.iter().any(|&j| keys[j] == keys[i]) {
-            missing.push(i);
-        }
-    }
-    if missing.is_empty() {
-        return;
-    }
-    // Results deliberately dropped: get_or_compile published them, which is
-    // all a pre-warming parent needs.
-    let _ = compile_parallel(&missing, &keys, workload, machine, pacing);
+    let keys = task_keys(workload, machine, pacing);
+    per_distinct_key(&keys, |i| {
+        TRACES.ensure_published(keys[i], || compile_task(workload, machine, pacing, i));
+    });
 }
 
 /// Compiles every task of the workload from scratch — bypassing the
-/// cross-sweep cache entirely and ignoring the step cap — and returns the
+/// trace namespace entirely and ignoring the step cap — and returns the
 /// total step count. This is the perfsuite's compile-cost probe: it prices
 /// exactly the work a cold [`TraceMode::Compiled`] run pays up front.
 ///
@@ -1007,31 +854,6 @@ mod tests {
         // A different pacing seed is a different stream: a fresh compile.
         let third = compiled_for(&w, &machine, Pacing::Poisson(0x516));
         assert!(!Arc::ptr_eq(a, third[0].as_ref().unwrap()));
-    }
-
-    #[test]
-    fn eviction_respects_budget() {
-        let mut cache = TraceCache::default();
-        let trace = |steps: usize| {
-            CacheEntry::Compiled(Arc::new(TaskTrace {
-                chunks: Vec::new(),
-                steps,
-            }))
-        };
-        cache.insert(1, trace(60), 100);
-        cache.insert(2, trace(30), 100);
-        assert_eq!(cache.resident_steps, 90);
-        // Inserting 50 evicts key 1 (oldest) but keeps key 2.
-        cache.insert(3, trace(50), 100);
-        assert!(!cache.map.contains_key(&1));
-        assert!(cache.map.contains_key(&2));
-        assert_eq!(cache.resident_steps, 80);
-        // An entry larger than the whole budget is not retained.
-        cache.insert(4, trace(1000), 100);
-        assert!(!cache.map.contains_key(&4));
-        // Re-inserting an existing key replaces it without double counting.
-        cache.insert(2, trace(10), 100);
-        assert_eq!(cache.resident_steps, 60);
     }
 
     #[test]
